@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: verify vet build test race bench perf fuzz faults stream compat trace sched kernels cross service vldsplit deadline apicheck
+.PHONY: verify gatecheck vet build test race bench perf fuzz faults stream compat trace sched kernels cross service vldsplit deadline apicheck
 
-verify: vet build race bench stream compat trace sched kernels cross service vldsplit deadline apicheck ## full CI gate: vet + build + race tests + bench smoke + streaming race + compat shims + traced decode + scheduler gate + kernel matrix + cross-compile + service gate + split-decode gate + deadline gate + deprecated-API grep
+verify: gatecheck vet build race bench stream compat trace sched kernels cross service vldsplit deadline apicheck ## full CI gate: -run selection check + vet + build + race tests + bench smoke + streaming race + compat shims + traced decode + scheduler gate + kernel matrix + cross-compile + service gate + split-decode gate + deadline gate + deprecated-API grep
 
 vet:
 	$(GO) vet ./...
+
+# Gate-selection check: every alternative of every -run pattern in this
+# Makefile and in CI must match at least one test in the packages its
+# command names — a renamed or deleted test must not silently empty the
+# gate that pinned it (go test passes a -run that selects nothing).
+gatecheck:
+	$(GO) run ./tools/gatecheck Makefile .github/workflows/ci.yml
 
 # Kernel-dispatch gate: the tier-equivalence matrix (each equivalence
 # test internally sweeps scalar/SWAR/asm against the scalar oracle), the
@@ -14,7 +21,7 @@ vet:
 # the pure-Go tiers), golden bit-exactness with every forced tier, and
 # the per-kernel micro-benchmarks.
 kernels:
-	$(GO) test -run 'TierEquivalence|AsmEquivalence|Extremes|TestKernels|TestStoreBlock|TestPaddedLayoutGolden|TestAffinity|TestPickTask' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
+	$(GO) test -run 'TierEquivalence|AsmEquivalence|Extremes|TestParseLevel|TestSetClampsUnsupported|TestRegisterAppliesImmediately|TestDescribe|TestSupportedMatchesDetection|TestStoreBlock|TestPaddedLayoutGolden|TestAffinity|TestPickTask' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
 	MPEG2_KERNELS=scalar $(GO) test -race -run 'TierEquivalence|AsmEquivalence|Golden|MatchesSequential' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
 	MPEG2_KERNELS=swar $(GO) test -race -run 'TierEquivalence|AsmEquivalence|Golden|MatchesSequential' ./internal/kernels/ ./internal/motion/ ./internal/dct/ ./internal/decoder/ ./internal/core/
 	$(GO) test -run=NONE -bench 'PredictBlock|AverageMB|StoreBlock|InverseTiers' -benchtime=10x ./internal/motion/ ./internal/dct/ ./internal/decoder/

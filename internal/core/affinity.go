@@ -39,9 +39,9 @@ func (a Affinity) String() string {
 
 // taskRow returns the macroblock row of picture task ti, or -1 when the
 // task has no meaningful row (whole-picture substitutes, empty groups).
-// Slice-mode tasks are individual slices; resilient-plan tasks are row
-// groups, keyed by their first slice's row; segments of a split slice
-// are keyed by the row their entry point starts on.
+// Plan tasks are row groups, keyed by their first slice's row (a
+// picture without a group table indexes its slices directly); segments
+// of a split slice are keyed by the row their entry point starts on.
 func taskRow(p *picState, ti int) int {
 	if p.tasks != nil {
 		if ti < 0 || ti >= len(p.tasks) {

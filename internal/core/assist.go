@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -22,93 +21,9 @@ import (
 // parallel row segments through the split-decode verify-or-fallback
 // chain (internal/core/split.go), which is bit-exact by construction —
 // a failed verification re-decodes the slice sequentially, so assist
-// can cost time but never pixels or error fate.
-
-// decodeAssistPic is decodePlanPic with intra-slice fan-out: every
-// slice that the split source (index or speculation) can cut into two
-// or more row segments is decoded by up to `parts` goroutines; the
-// rest decode inline exactly as the plain path would. Coverage, damage
-// accounting, and concealment are identical to decodePlanPic — the
-// goldens assert bit-equality under every policy.
-func decodeAssistPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt Options, scr *sliceScratch, parts int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
-	p := pics[idx]
-	f := p.frame
-	var work decoder.WorkStats
-	var es ErrorStats
-	if p.fate == fateSubstitute {
-		var src *frame.Frame
-		if p.subFrom >= 0 {
-			src = pics[p.subFrom].frame
-		}
-		if !f.CopyPixelsFrom(src) {
-			f.Fill(128)
-		}
-		return work, es, nil
-	}
-	refs := decoder.Refs{}
-	if p.fwd >= 0 {
-		refs.Fwd = pics[p.fwd].frame
-	}
-	if p.bwd >= 0 {
-		refs.Bwd = pics[p.bwd].frame
-	}
-	total := p.params.MBWidth * p.params.MBHeight
-	covered := make([]bool, total)
-	nCovered := 0
-	last := len(p.rng.Slices) - 1
-	optSplit := opt
-	optSplit.SplitParts = parts
-	for _, group := range p.groups {
-		for _, si := range group {
-			sr := p.rng.Slices[si]
-			bound := p.sliceBound(si)
-			var w decoder.WorkStats
-			var addrs []int
-			var err error
-			if j := newSplitJoin(p.data, &p.params, si, sr, bound, optSplit, &scr.mbs); j != nil {
-				w, addrs, err = runSegmentsAssist(seq, p, j, refs, f, wi, opt, scr, sst, parts)
-			} else {
-				w, addrs, err = decodeSliceRange(p.data, seq, &p.hdr, &p.params, sr, bound, refs, f, wi, opt.Tracer, scr)
-			}
-			work.Add(w)
-			if err != nil {
-				if opt.Resilience == FailFast {
-					return work, es, err
-				}
-				es.DamagedSlices++
-				if si != last {
-					es.Resyncs++
-				}
-				continue
-			}
-			for _, a := range addrs {
-				if a >= 0 && a < total && !covered[a] {
-					covered[a] = true
-					nCovered++
-				}
-			}
-		}
-	}
-	if nCovered != total {
-		if opt.Resilience == FailFast {
-			return work, es, fmt.Errorf("core: picture at display %d covered %d of %d macroblocks", p.displayIdx, nCovered, total)
-		}
-		var ref *frame.Frame
-		if p.fwd >= 0 {
-			ref = pics[p.fwd].frame
-		} else if p.bwd >= 0 {
-			ref = pics[p.bwd].frame
-		}
-		mbw := p.params.MBWidth
-		for a := 0; a < total; a++ {
-			if !covered[a] {
-				decoder.ConcealMB(f, ref, a%mbw, a/mbw)
-				es.ConcealedMBs++
-			}
-		}
-	}
-	return work, es, nil
-}
+// can cost time but never pixels or error fate. decodePlanPic takes the
+// assist width and routes every splittable slice through
+// runSegmentsAssist.
 
 // runSegmentsAssist executes every segment of one split slice across up
 // to `parts` goroutines (segment 0 inline on the caller, reusing its

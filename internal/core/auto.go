@@ -16,7 +16,7 @@ type AutoDecision struct {
 
 	// Streaming-only: how many GOP-boundary re-evaluations ran and the
 	// active-worker limit in force when the pipeline finished. Zero /
-	// equal to Workers on the batch paths (no online tuning there).
+	// equal to Workers on a batch decode (no online tuning there).
 	Reevals          int
 	FinalWorkerLimit int
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
-	"mpeg2par/internal/kernels"
 	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/sched"
@@ -52,6 +52,12 @@ const (
 	ModeAuto
 )
 
+// sliceGrain reports whether the mode issues slice-grain tasks through
+// the 2-D picture/slice queue (the others run whole GOPs per task).
+func (m Mode) sliceGrain() bool {
+	return m == ModeSliceSimple || m == ModeSliceImproved
+}
+
 func (m Mode) String() string {
 	switch m {
 	case ModeGOP:
@@ -82,28 +88,22 @@ type Options struct {
 	// stream tagged with worker ids.
 	Tracer memtrace.Tracer
 
-	// Profile, when true, records per-task costs (single-worker runs are
-	// the meaningful profile source for the deterministic simulator).
+	// Profile, when true, records per-task costs into Stats.GOPCosts (GOP
+	// grain) or Stats.SliceProf (slice grain). Batch decodes only;
+	// single-worker runs are the meaningful profile source for the
+	// deterministic simulator.
 	Profile bool
 
-	// Conceal makes damaged slices non-fatal: their macroblocks are
-	// filled by zero-vector temporal concealment and decoding continues.
-	//
-	// Deprecated shim kept for the legacy per-mode paths; new code should
-	// select a Resilience policy instead, which additionally guarantees
-	// bit-identical output across all scheduling modes.
-	Conceal bool
-
 	// Resilience selects the error-resilience ladder (FailFast default).
-	// Any policy above FailFast routes the decode through the shared-plan
-	// executor, where all scheduling modes produce bit-identical frames
-	// and identical ErrorStats for the same damaged stream.
+	// Every decode runs off one shared plan, so for the same damaged
+	// stream all scheduling modes produce bit-identical frames and
+	// identical ErrorStats.
 	Resilience Resilience
 
 	// MaxInFlight bounds the streaming pipeline's scan-ahead window: how
 	// many GOP units may be buffered or decoding at once before the scan
-	// process blocks (backpressure). Zero selects 2×Workers+2. The batch
-	// paths ignore it.
+	// process blocks (backpressure). Zero selects 2×Workers+2. A batch
+	// decode ignores it.
 	MaxInFlight int
 
 	// Obs, when non-nil, receives structured scheduling events from every
@@ -218,9 +218,6 @@ type Stats struct {
 	WorkerStats []WorkerStats
 	Work        decoder.WorkStats
 
-	// Concealed counts macroblocks recovered by error concealment.
-	Concealed int
-
 	// Errors accounts the damage a resilient decode recovered from; for a
 	// given stream and policy it is identical across all scheduling modes.
 	Errors ErrorStats
@@ -248,7 +245,8 @@ type Stats struct {
 	// FramesAllocated is the cumulative number of distinct frame buffers.
 	FramesAllocated int64
 
-	// Streaming-pipeline gauges (zero on the batch paths).
+	// Streaming-pipeline gauges (zero on batch decodes, which plan the
+	// whole scanned stream up front and need no scan-ahead window).
 
 	// PeakInFlightBytes is the high watermark of buffered bitstream
 	// bytes: the scan window plus GOP task buffers not yet decoded. It is
@@ -265,7 +263,11 @@ type Stats struct {
 	// cancellation tests assert it.
 	LeakedFrameBytes int64
 
-	// Profiles (only with Options.Profile).
+	// Profiles (only with Options.Profile). GOPCosts is indexed by
+	// stream GOP (a group the plan dropped keeps a zero entry);
+	// SliceProf has one entry per planned picture in decode order, with
+	// one cost per queue task — row groups, or the segments of a split
+	// slice.
 	GOPCosts  []TaskCost
 	SliceProf []PicProfile
 }
@@ -278,10 +280,24 @@ func (s *Stats) PicturesPerSecond() float64 {
 	return float64(s.Pictures) / s.Wall.Seconds()
 }
 
+// checkOptions is the option contract every entry point shares —
+// DecodeScanned, NewStreamExecutor and NewSession: at least one worker
+// and a non-negative split target. Mode is checked where it is honored
+// (a Session ignores it).
+func checkOptions(opt Options) error {
+	if opt.Workers < 1 {
+		return badOption("Workers=%d (need at least one worker)", opt.Workers)
+	}
+	if opt.SplitParts < 0 {
+		return badOption("SplitParts=%d (must be >= 0)", opt.SplitParts)
+	}
+	return nil
+}
+
 // Decode runs the parallel decoder over a complete elementary stream.
 func Decode(data []byte, opt Options) (*Stats, error) {
-	if opt.Workers < 1 {
-		return nil, badOption("Workers=%d (need at least one worker)", opt.Workers)
+	if err := checkOptions(opt); err != nil {
+		return nil, err
 	}
 	scanFn := Scan
 	if opt.Resilience != FailFast {
@@ -297,41 +313,26 @@ func Decode(data []byte, opt Options) (*Stats, error) {
 }
 
 // DecodeScanned runs the parallel decoder over a pre-scanned stream
-// (callers sweeping worker counts scan once).
+// (callers sweeping worker counts scan once). It is the batch front end
+// of the plan executor: ModeAuto resolves from the full scan, the whole
+// stream is planned up front, and the plan runs on the same workers,
+// display process and teardown as the streaming pipeline.
 func DecodeScanned(data []byte, m *StreamMap, opt Options) (*Stats, error) {
-	if opt.Workers < 1 {
-		return nil, badOption("Workers=%d (need at least one worker)", opt.Workers)
-	}
-	if opt.SplitParts < 0 {
-		return nil, badOption("SplitParts=%d (must be >= 0)", opt.SplitParts)
+	if err := checkOptions(opt); err != nil {
+		return nil, err
 	}
 	var auto *AutoDecision
 	if opt.Mode == ModeAuto {
 		opt, auto = resolveAuto(m.GOPs, opt)
 	}
-	st := &Stats{
-		Mode:     opt.Mode,
-		Workers:  opt.EffectiveWorkers(),
-		Kernels:  kernels.Describe(),
-		ScanTime: m.ScanTime,
-		ScanRate: m.ScanRate(),
-		Auto:     auto,
+	e, err := newExecutor(context.Background(), opt)
+	if err != nil {
+		return nil, err
 	}
-	opt.Obs.SetMeta(opt.Mode.String(), st.Workers)
-	var err error
-	switch {
-	case opt.Mode == ModeSequential || opt.Resilience != FailFast:
-		// The resilient shared-plan executor; also the FailFast sequential
-		// baseline. The legacy per-mode paths below stay byte-for-byte
-		// untouched, keeping FailFast parallel decode at zero overhead.
-		err = decodeResilient(data, m, opt, st)
-	case opt.Mode == ModeGOP:
-		err = decodeGOPMode(data, m, opt, st)
-	case opt.Mode == ModeSliceSimple || opt.Mode == ModeSliceImproved:
-		err = decodeSliceMode(data, m, opt, st)
-	default:
-		err = badOption("Mode=%d (unknown mode)", int(opt.Mode))
-	}
+	e.st.Auto = auto
+	e.st.ScanTime = m.ScanTime
+	e.st.ScanRate = m.ScanRate()
+	st, err := e.runBatch(data, m)
 	if err != nil {
 		return nil, err
 	}

@@ -257,6 +257,49 @@ func TestProfileCollection(t *testing.T) {
 	if refs != 5 { // I + 4 P in a 13-picture M=3 GOP
 		t.Fatalf("%d reference pictures profiled, want 5", refs)
 	}
+
+	// With an indexed split, every segment of a split slice is its own
+	// queue task and gets its own cost (the VLD-split study replays
+	// exactly this shape).
+	tall, err := encoder.EncodeSequence(encoder.Config{
+		Width: 96, Height: 64, Pictures: 13, GOPSize: 13, RowsPerSlice: 4,
+	}, frame.NewSynth(96, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Scan(tall.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildIndexScanned(tall.Data, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Mode: ModeSliceImproved, Workers: 1, Profile: true, SplitIndex: ix, SplitParts: 2}
+	pl, err := buildPlan(tall.Data, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st3, err := DecodeScanned(tall.Data, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st3.Split.SegmentsRun == 0 {
+		t.Fatal("no slice split: the profile would not cover segment tasks")
+	}
+	if len(st3.SliceProf) != len(pl.pics) {
+		t.Fatalf("%d picture profiles, want %d planned pictures", len(st3.SliceProf), len(pl.pics))
+	}
+	for i, p := range st3.SliceProf {
+		if n := pl.pics[i].nTasks; len(p.SliceCosts) != n {
+			t.Fatalf("picture %d: %d slice costs, want %d planned tasks", i, len(p.SliceCosts), n)
+		}
+		for _, c := range p.SliceCosts {
+			if c <= 0 {
+				t.Fatalf("picture %d: unmeasured task cost", i)
+			}
+		}
+	}
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -304,14 +347,14 @@ func TestConcealedParallelDecode(t *testing.T) {
 		}
 		// With concealment: full output.
 		var sink collectSink
-		st, err := Decode(mut, Options{Mode: mode, Workers: 2, Conceal: true, Sink: sink.add})
+		st, err := Decode(mut, Options{Mode: mode, Workers: 2, Resilience: ConcealSlice, Sink: sink.add})
 		if err != nil {
 			t.Fatalf("%v: concealed decode failed: %v", mode, err)
 		}
 		if st.Displayed != 8 || len(sink.frames) != 8 {
 			t.Fatalf("%v: displayed %d", mode, st.Displayed)
 		}
-		if st.Concealed == 0 {
+		if st.Errors.ConcealedMBs == 0 {
 			t.Fatalf("%v: nothing concealed", mode)
 		}
 	}
@@ -513,11 +556,11 @@ func TestConcealPoolCrossGOPSafety(t *testing.T) {
 	for _, mode := range []Mode{ModeGOP, ModeSliceSimple, ModeSliceImproved} {
 		for _, workers := range []int{1, 2, 4} {
 			var sink collectSink
-			st, err := Decode(mut, Options{Mode: mode, Workers: workers, Conceal: true, Sink: sink.add})
+			st, err := Decode(mut, Options{Mode: mode, Workers: workers, Resilience: ConcealSlice, Sink: sink.add})
 			if err != nil {
 				t.Fatalf("%v/%d: %v", mode, workers, err)
 			}
-			if st.Concealed == 0 {
+			if st.Errors.ConcealedMBs == 0 {
 				t.Fatalf("%v/%d: nothing concealed", mode, workers)
 			}
 			if len(sink.frames) != len(want) {

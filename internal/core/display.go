@@ -99,6 +99,34 @@ func (d *displayProc) finish() (int, error) {
 	return d.displayed, nil
 }
 
+// settle closes out a run over its planned pictures once no worker
+// touches them any more. On failure the reorder buffer is abandoned and
+// every planned frame reclaimed, so a torn-down run holds no picture
+// memory; on success the display process must have delivered every
+// planned picture. Either way the frame-pool gauges are filled:
+// LeakedFrameBytes is the pool's in-use remainder, zero on every clean
+// or torn-down run.
+func settle(pics []*picState, pool *frame.Pool, disp *displayProc, st *Stats, err error) error {
+	if err != nil {
+		disp.abandon()
+		for _, p := range pics {
+			if p.frame != nil {
+				pool.Reclaim(p.frame)
+			}
+		}
+	} else {
+		st.Displayed, err = disp.finish()
+		if err == nil && st.Displayed != st.Pictures {
+			err = fmt.Errorf("core: displayed %d of %d pictures", st.Displayed, st.Pictures)
+		}
+	}
+	ps := pool.Stats()
+	st.PeakFrameBytes = ps.PeakBytes
+	st.FramesAllocated = ps.AllocBytes
+	st.LeakedFrameBytes = ps.InUseBytes
+	return err
+}
+
 // firstErr latches the first error reported by any process.
 type firstErr struct {
 	mu  sync.Mutex

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpeg2par/internal/faults"
+	"mpeg2par/internal/obs"
 )
 
 // packings exercised by the invariance tests: every discipline the
@@ -198,5 +199,40 @@ func TestSliceBytesInvariant(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no slices checked")
+	}
+}
+
+// TestBatchGOPPackingReachesQueue pins that a batch GOP-grain decode
+// hands its groups to the workers in the packed order: with one worker
+// the task events' GOP coordinates must follow packOrder over the scan's
+// per-GOP byte costs exactly, so no refactor of the batch front end can
+// silently fall back to feeding groups in stream order.
+func TestBatchGOPPackingReachesQueue(t *testing.T) {
+	res := testStream(t, 96, 64, 14, 4) // GOPs of 4, 4, 4 and 2 pictures
+	m, err := Scan(res.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range []Packing{PackFIFO, PackReverse, PackLPT} {
+		want := packOrder(gopCosts(m.GOPs), pk, 0)
+		if want == nil {
+			want = make([]int, len(m.GOPs))
+			for g := range want {
+				want[g] = g
+			}
+		}
+		tr := obs.New(0)
+		if _, err := Decode(res.Data, Options{Mode: ModeGOP, Workers: 1, Packing: pk, Obs: tr}); err != nil {
+			t.Fatalf("%v: %v", pk, err)
+		}
+		var got []int
+		for _, e := range tr.Snapshot().Events {
+			if e.Kind == obs.KindTask {
+				got = append(got, e.GOP)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: tasks ran in GOP order %v, want packed order %v", pk, got, want)
+		}
 	}
 }

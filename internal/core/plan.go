@@ -28,7 +28,7 @@ type planGOP struct {
 	n     int
 }
 
-// plan is the resolved decode schedule of a resilient run. Every policy
+// plan is the resolved decode schedule of a run. Every policy
 // decision — which pictures decode, which are substituted from what,
 // which GOPs are dropped, and which display slot each output occupies —
 // is made here, once, before any worker starts. That is what makes the
@@ -49,8 +49,8 @@ type plan struct {
 	shed ShedStats
 }
 
-// planBuilder grows a plan one group of pictures at a time. The batch
-// path feeds it every GOP of a finished scan; the streaming path feeds
+// planBuilder grows a plan one group of pictures at a time. A batch
+// decode feeds it every GOP of a finished scan; the streaming path feeds
 // it each GOP as the incremental scanner closes it — the decisions are
 // identical because nothing in the planning of a GOP looks ahead.
 type planBuilder struct {
@@ -74,8 +74,8 @@ type planBuilder struct {
 	// dependency: prediction references never cross GOP boundaries here).
 
 	// Degradation inputs (the multi-stream service sets them between
-	// addGOP calls; the batch paths leave them zero). shed selects load
-	// shedding for subsequently planned groups; degraded bumps the
+	// addGOP calls; single-stream decodes leave them zero). shed selects
+	// load shedding for subsequently planned groups; degraded bumps the
 	// effective resilience policy to at least ConcealPicture so damage
 	// that would fail the stream under its requested policy is
 	// substituted instead (and accounted as degradation, not as error).
@@ -99,10 +99,10 @@ func (b *planBuilder) setSplit(opt Options) {
 }
 
 // buildPlan resolves a lenient (or strict) scan into a decode plan under
-// the given resilience policy. FailFast and ConcealSlice treat
-// picture-level damage as a hard error; ConcealPicture substitutes such
-// pictures; DropGOP additionally removes groups with no decodable intra
-// anchor.
+// the given resilience policy — a batch decode's whole-stream plan.
+// FailFast and ConcealSlice treat picture-level damage as a hard error;
+// ConcealPicture substitutes such pictures; DropGOP additionally removes
+// groups with no decodable intra anchor.
 func buildPlan(data []byte, m *StreamMap, opt Options) (*plan, error) {
 	b := newPlanBuilder(&m.Seq, opt.Resilience, opt.Packing, opt.PackSeed)
 	b.setSplit(opt)
@@ -115,7 +115,7 @@ func buildPlan(data []byte, m *StreamMap, opt Options) (*plan, error) {
 }
 
 // addGOP plans one group of pictures. data holds the bytes the group's
-// offsets index into — the whole stream on the batch path, the group's
+// offsets index into — the whole stream on a batch decode, the group's
 // own copied buffer on the streaming path (each planned picture keeps a
 // reference to it). It returns the pictures appended to the plan, nil
 // when the policy dropped the group.
@@ -285,7 +285,8 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 				pl.pre.DroppedPictures++
 			}
 		} else {
-			ps.groups = buildRowGroups(ps.rng.Slices)
+			ps.bounds = sliceSpanBounds(ps.rng.Slices, &ps.params)
+			ps.groups = buildRowGroups(data, ps.rng.Slices, ps.bounds, ps.params.MBWidth)
 			if len(ps.groups) == 0 {
 				// A picture whose every slice was destroyed still owns a
 				// display slot: one empty task, then full concealment.
@@ -300,18 +301,8 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 				costs[gi] = groupCost(ps.rng.Slices, grp)
 			}
 			ps.order = packOrder(costs, b.packing, b.seed+int64(len(pl.pics)))
-			ps.bounds = sliceSpanBounds(ps.rng.Slices, &ps.params)
 			if b.splitOn {
-				// Only a row group holding a single slice can split: a
-				// multi-slice group exists because same-row slices must
-				// serialize, which a segment fan-out would break.
-				buildSplitTasks(ps, data, b.splitOpt, b.seed+int64(len(pl.pics)),
-					len(ps.groups), func(gi int) int {
-						if len(ps.groups[gi]) == 1 {
-							return ps.groups[gi][0]
-						}
-						return -1
-					}, &b.scratch)
+				buildSplitTasks(ps, data, b.splitOpt, b.seed+int64(len(pl.pics)), &b.scratch)
 			}
 		}
 		ps.remaining = ps.nTasks
@@ -320,6 +311,7 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 		// references or substitution source); each is retained on the
 		// holder's behalf and released when the holder completes.
 		idx := len(pl.pics)
+		ps.idx = idx
 		for _, ri := range []int{ps.fwd, ps.bwd, ps.subFrom} {
 			if ri < 0 || contains(ps.holds, ri) {
 				continue
@@ -338,26 +330,81 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 	return pl.pics[first:], nil
 }
 
-// buildRowGroups partitions a picture's slices into per-starting-row
-// task groups, preserving scan order within each group. Slices starting
-// on different rows write disjoint pixels (each is bounded by the next
-// claimed row, see sliceSpanBounds), so groups may run on any workers in
-// any order; slices *within* a row could overlap when the stream is
-// corrupted, so they execute serially inside one task. On a clean
-// one-slice-per-row stream this degenerates to one slice per task —
-// the exact parallel grain of the non-resilient decoder.
-func buildRowGroups(slices []SliceRange) [][]int {
-	var groups [][]int
+// buildRowGroups partitions a picture's slices into tasks, preserving
+// scan order within each. Slices starting on different rows write
+// disjoint pixels (each is bounded by the next claimed row, see
+// sliceSpanBounds), so they are separate tasks that may run on any
+// workers in any order. Slices sharing a row are separate tasks too when
+// their first macroblock addresses parse and strictly increase in scan
+// order: each one's bound in bounds is then tightened to end just before
+// its successor's first macroblock, which keeps them as disjoint as
+// slices of different rows — the paper's slice grain on streams with
+// several slices per row. Otherwise (damage made them collide) they
+// serialize inside one row-group task, so the order of their
+// overlapping writes is fixed. On a clean stream every slice is one
+// task.
+func buildRowGroups(data []byte, slices []SliceRange, bounds []int, mbw int) [][]int {
+	var rows [][]int
 	byRow := make(map[int]int)
 	for si := range slices {
 		if gi, ok := byRow[slices[si].Row]; ok {
-			groups[gi] = append(groups[gi], si)
+			rows[gi] = append(rows[gi], si)
 		} else {
-			byRow[slices[si].Row] = len(groups)
-			groups = append(groups, []int{si})
+			byRow[slices[si].Row] = len(rows)
+			rows = append(rows, []int{si})
 		}
 	}
+	groups := make([][]int, 0, len(slices))
+	for _, row := range rows {
+		if len(row) > 1 && disjointRow(data, slices, row, bounds, mbw) {
+			for _, si := range row {
+				groups = append(groups, []int{si})
+			}
+			continue
+		}
+		groups = append(groups, row)
+	}
 	return groups
+}
+
+// disjointRow reports whether the same-row slices of row (in scan
+// order) start at strictly increasing macroblock addresses inside that
+// row and, if so, bounds each slice but the last just before its
+// successor's first macroblock.
+func disjointRow(data []byte, slices []SliceRange, row []int, bounds []int, mbw int) bool {
+	starts := make([]int, len(row))
+	for k, si := range row {
+		sr := slices[si]
+		a := sliceStartAddr(data, sr, mbw)
+		if a < sr.Row*mbw || a >= (sr.Row+1)*mbw || (k > 0 && a <= starts[k-1]) {
+			return false
+		}
+		starts[k] = a
+	}
+	for k := 0; k+1 < len(row); k++ {
+		bounds[row[k]] = starts[k+1] - 1
+	}
+	return true
+}
+
+// sliceStartAddr parses the slice header at sr and its first
+// macroblock_address_increment, returning the slice's first macroblock
+// address, or -1 when the bytes do not parse.
+func sliceStartAddr(data []byte, sr SliceRange, mbw int) int {
+	r := bits.NewReader(data[:sr.End])
+	r.SeekBit(int64(sr.Offset) * 8)
+	code, err := r.ReadStartCode()
+	if err != nil || r.Read(5) == 0 { // quantiser_scale_code 0 is forbidden
+		return -1
+	}
+	for r.ReadBit() { // extra_information_slice
+		r.Skip(8)
+	}
+	inc, err := vlc.DecodeMBAddrInc(r)
+	if err != nil || r.Err() != nil {
+		return -1
+	}
+	return (int(code)-1)*mbw - 1 + inc
 }
 
 func contains(s []int, v int) bool {

@@ -16,9 +16,7 @@ import "fmt"
 type Resilience int
 
 const (
-	// FailFast aborts the decode on the first damage (the default, and
-	// the zero-overhead path: clean streams decode through exactly the
-	// same code as before the resilience ladder existed).
+	// FailFast aborts the decode on the first damage (the default).
 	FailFast Resilience = iota
 	// ConcealSlice makes damaged slices non-fatal: decode resynchronizes
 	// at the next slice startcode and the lost macroblocks are filled by

@@ -1,90 +1,120 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"time"
-
-	rtrace "runtime/trace"
 
 	"mpeg2par/internal/decoder"
 	"mpeg2par/internal/frame"
 	"mpeg2par/internal/mpeg2"
-	"mpeg2par/internal/obs"
 )
-
-// decodeResilient executes a planned decode. ModeSequential always runs
-// here (it is the single-worker reference the golden tests compare the
-// parallel modes against); the other modes arrive once a resilience
-// policy above FailFast is selected. All variants execute the same plan
-// (see buildPlan) — they differ only in what runs concurrently, never in
-// what gets decoded, substituted, or concealed.
-func decodeResilient(data []byte, m *StreamMap, opt Options, st *Stats) error {
-	pl, err := buildPlan(data, m, opt)
-	if err != nil {
-		return err
-	}
-	st.Errors.Add(pl.pre)
-	switch opt.Mode {
-	case ModeSequential:
-		return decodeResilientSeq(m, pl, opt, st)
-	case ModeGOP:
-		return decodeResilientGOP(m, pl, opt, st)
-	case ModeSliceSimple, ModeSliceImproved:
-		return decodeResilientSlice(m, pl, opt, st)
-	}
-	return fmt.Errorf("core: unknown mode %d", int(opt.Mode))
-}
 
 // newPlanFrame allocates and tags the output frame of one planned
 // picture, storing it in the picState. Retains: 1 for the display
 // process plus one per holder (pictures that predict from, or substitute
 // from, this frame).
-func newPlanFrame(pool *frame.Pool, p *picState) *frame.Frame {
+func newPlanFrame(pool *frame.Pool, p *picState) {
 	f := pool.Get()
 	f.Retain(1 + p.deps)
 	f.PictureType = "?IPB"[int(p.hdr.Type)]
 	f.TemporalRef = p.hdr.TemporalReference
 	p.frame = f
-	return f
+}
+
+// gopTask is one coarse-grained task: decode every picture of a planned
+// group on one worker. pics is a plan-prefix snapshot long enough to
+// cover the group's pictures and everything they reference; the plan's
+// per-GOP reference reset makes the task self-contained.
+type gopTask struct {
+	pics  []*picState
+	first int // plan index of the group's first picture
+	n     int
+	g     int   // group index in stream order
+	off   int   // absolute stream offset, for error messages
+	bytes int64 // compressed size: packing key and cost-model input
+	// unit, on the streaming path, is the in-flight buffer the group
+	// decodes from (nil on a batch decode and in a service session).
+	unit *unitState
+}
+
+// decode is the GOP-grain picture loop shared by the plan executor and
+// the service's sessions: each picture of the group in decode order gets
+// its frame, is decoded (with assist-way intra-slice fan-out when assist
+// > 1) or substituted, releases the frames it held, and goes to the
+// display process. Work, damage and split activity accumulate into the
+// caller's counters, also on failure.
+func (t *gopTask) decode(seq *mpeg2.SequenceHeader, pool *frame.Pool, disp *displayProc, wi int, opt Options, assist int, scr *sliceScratch, work *decoder.WorkStats, es *ErrorStats, sst *SplitStats) error {
+	for idx := t.first; idx < t.first+t.n; idx++ {
+		p := t.pics[idx]
+		newPlanFrame(pool, p)
+		w, pes, err := decodePlanPic(seq, t.pics, idx, wi, opt, scr, assist, sst)
+		work.Add(w)
+		es.Add(pes)
+		if err != nil {
+			return fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err)
+		}
+		for _, ri := range p.holds {
+			if t.pics[ri].frame.Release() {
+				pool.Put(t.pics[ri].frame)
+			}
+		}
+		disp.push(p.frame, p.displayIdx)
+	}
+	return nil
+}
+
+// substitutePic fills a substituted picture's frame with a copy of its
+// substitution source, mid-grey when it has none.
+func substitutePic(pics []*picState, p *picState) {
+	var src *frame.Frame
+	if p.subFrom >= 0 {
+		src = pics[p.subFrom].frame
+	}
+	if !p.frame.CopyPixelsFrom(src) {
+		p.frame.Fill(128)
+	}
 }
 
 // decodePlanPic decodes or substitutes one planned picture into its
-// frame (the single-worker-per-picture executor shared by the sequential
-// and GOP-grain modes, batch and streaming). pics is the planned picture
-// list — for streaming callers, a snapshot long enough to cover this
-// picture's references. The frames of the references and substitution
-// source must be complete.
-func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt Options, scr *sliceScratch) (decoder.WorkStats, ErrorStats, error) {
+// frame on a single worker (the GOP-grain and sequential executors).
+// pics is the planned picture list — for streaming callers, a snapshot
+// long enough to cover this picture's references, whose frames (and the
+// substitution source's) must be complete. With assist > 1, every slice
+// the split source (index or speculation) can cut into row segments is
+// decoded by up to assist goroutines through the verify-or-fallback
+// chain; coverage, damage accounting and concealment are identical
+// either way, so output never depends on assist.
+func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt Options, scr *sliceScratch, assist int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
 	p := pics[idx]
 	f := p.frame
 	var work decoder.WorkStats
 	var es ErrorStats
 	if p.fate == fateSubstitute {
-		var src *frame.Frame
-		if p.subFrom >= 0 {
-			src = pics[p.subFrom].frame
-		}
-		if !f.CopyPixelsFrom(src) {
-			f.Fill(128)
-		}
+		substitutePic(pics, p)
 		return work, es, nil
 	}
-	refs := decoder.Refs{}
-	if p.fwd >= 0 {
-		refs.Fwd = pics[p.fwd].frame
-	}
-	if p.bwd >= 0 {
-		refs.Bwd = pics[p.bwd].frame
-	}
+	refs := picRefs(pics, p)
 	total := p.params.MBWidth * p.params.MBHeight
 	covered := make([]bool, total)
 	nCovered := 0
 	last := len(p.rng.Slices) - 1
+	optSplit := opt
+	optSplit.SplitParts = assist
 	for _, group := range p.groups {
 		for _, si := range group {
-			w, addrs, err := decodeSliceRange(p.data, seq, &p.hdr, &p.params, p.rng.Slices[si], p.sliceBound(si), refs, f, wi, opt.Tracer, scr)
+			sr := p.rng.Slices[si]
+			bound := p.sliceBound(si)
+			var w decoder.WorkStats
+			var addrs []int
+			var err error
+			var j *splitJoin
+			if assist > 1 {
+				j = newSplitJoin(p.data, &p.params, si, sr, bound, optSplit, &scr.mbs)
+			}
+			if j != nil {
+				w, addrs, err = runSegmentsAssist(seq, p, j, refs, f, wi, opt, scr, sst, assist)
+			} else {
+				w, addrs, err = decodeSliceRange(p.data, seq, &p.hdr, &p.params, sr, bound, refs, f, wi, opt.Tracer, scr)
+			}
 			work.Add(w)
 			if err != nil {
 				if opt.Resilience == FailFast {
@@ -108,301 +138,27 @@ func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt
 		if opt.Resilience == FailFast {
 			return work, es, fmt.Errorf("core: picture at display %d covered %d of %d macroblocks", p.displayIdx, nCovered, total)
 		}
-		var ref *frame.Frame
-		if p.fwd >= 0 {
-			ref = pics[p.fwd].frame
-		} else if p.bwd >= 0 {
-			ref = pics[p.bwd].frame
-		}
-		mbw := p.params.MBWidth
+		var miss []int
 		for a := 0; a < total; a++ {
 			if !covered[a] {
-				decoder.ConcealMB(f, ref, a%mbw, a/mbw)
-				es.ConcealedMBs++
+				miss = append(miss, a)
 			}
 		}
+		concealMBs(pics, p, miss)
+		es.ConcealedMBs += len(miss)
 	}
 	return work, es, nil
-}
-
-// finishPlan is the shared epilogue: drain the display process and fill
-// the run's bookkeeping.
-func finishPlan(pl *plan, pool *frame.Pool, disp *displayProc, st *Stats, wallStart time.Time) error {
-	displayed, dispErr := disp.finish()
-	st.Wall = time.Since(wallStart)
-	if dispErr != nil {
-		return dispErr
-	}
-	st.Pictures = len(pl.pics)
-	st.Displayed = displayed
-	ps := pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
-	if displayed != len(pl.pics) {
-		return fmt.Errorf("core: displayed %d of %d pictures", displayed, len(pl.pics))
-	}
-	return nil
-}
-
-// decodeResilientSeq executes the plan on one worker in decode order —
-// the baseline every parallel mode must match bit-exactly.
-func decodeResilientSeq(m *StreamMap, pl *plan, opt Options, st *Stats) error {
-	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
-	if opt.Resilience != FailFast {
-		pool.SetScrub(true)
-	}
-	disp := newDisplay(pool, opt.Sink, opt.Obs)
-	st.WorkerStats = make([]WorkerStats, 1)
-	ws := &st.WorkerStats[0]
-	var scr sliceScratch
-
-	wallStart := time.Now()
-	var seqErr error
-	obs.Do(opt.Mode.String(), 0, func() {
-		for idx, p := range pl.pics {
-			newPlanFrame(pool, p)
-			t0 := time.Now()
-			reg := rtrace.StartRegion(context.Background(), "mpeg2par.picTask")
-			work, es, err := decodePlanPic(&m.Seq, pl.pics, idx, 0, opt, &scr)
-			reg.End()
-			cost := time.Since(t0)
-			ws.Busy += cost
-			ws.Tasks++
-			opt.Obs.Record(obs.KindTask, 0, t0, cost, p.gop, p.displayIdx, -1)
-			st.Work.Add(work)
-			st.Errors.Add(es)
-			if err != nil {
-				st.Wall = time.Since(wallStart)
-				seqErr = fmt.Errorf("core: GOP %d at byte %d: %w", p.gop, m.GOPs[p.gop].Offset, err)
-				return
-			}
-			for _, ri := range p.holds {
-				if pl.pics[ri].frame.Release() {
-					pool.Put(pl.pics[ri].frame)
-				}
-			}
-			disp.push(p.frame, p.displayIdx)
-		}
-	})
-	if seqErr != nil {
-		return seqErr
-	}
-	return finishPlan(pl, pool, disp, st, wallStart)
-}
-
-// decodeResilientGOP executes the plan at the paper's coarse grain: one
-// task per kept GOP. The plan's per-GOP reference reset is what makes
-// each task self-contained.
-func decodeResilientGOP(m *StreamMap, pl *plan, opt Options, st *Stats) error {
-	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
-	pool.SetScrub(true) // concealed/substituted pixels must never leak stale content
-	disp := newDisplay(pool, opt.Sink, opt.Obs)
-
-	// Packed order over the kept groups (LPT by byte size by default).
-	costs := make([]int64, len(pl.gops))
-	for i, pg := range pl.gops {
-		costs[i] = int64(m.GOPs[pg.g].End - m.GOPs[pg.g].Offset)
-	}
-	tasks := make(chan int, len(pl.gops))
-	order := packOrder(costs, opt.Packing, opt.PackSeed)
-	for gi := range pl.gops {
-		if order != nil {
-			gi = order[gi]
-		}
-		tasks <- gi
-	}
-	close(tasks)
-
-	var errs firstErr
-	st.WorkerStats = make([]WorkerStats, opt.Workers)
-	var workMu sync.Mutex
-
-	wallStart := time.Now()
-	var wg sync.WaitGroup
-	for wi := 0; wi < opt.Workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			obs.Do(opt.Mode.String(), wi, func() {
-				ws := &st.WorkerStats[wi]
-				var scr sliceScratch
-				for {
-					t0 := time.Now()
-					gi, ok := <-tasks
-					wait := time.Since(t0)
-					ws.Wait += wait
-					opt.Obs.Record(obs.KindWait, wi, t0, wait, -1, -1, -1)
-					if !ok {
-						return
-					}
-					if errs.get() != nil {
-						continue // drain remaining tasks after a failure
-					}
-					pg := pl.gops[gi]
-					t1 := time.Now()
-					reg := rtrace.StartRegion(context.Background(), "mpeg2par.gopTask")
-					var work decoder.WorkStats
-					var es ErrorStats
-					failed := false
-					// Workers touch only their own GOP's picStates (plus the
-					// frames within it), so no locking is needed on the plan.
-					for idx := pg.first; idx < pg.first+pg.n; idx++ {
-						p := pl.pics[idx]
-						newPlanFrame(pool, p)
-						w, e, err := decodePlanPic(&m.Seq, pl.pics, idx, wi, opt, &scr)
-						work.Add(w)
-						es.Add(e)
-						if err != nil {
-							errs.set(fmt.Errorf("core: GOP %d at byte %d: %w", pg.g, m.GOPs[pg.g].Offset, err))
-							failed = true
-							break
-						}
-						for _, ri := range p.holds {
-							if pl.pics[ri].frame.Release() {
-								pool.Put(pl.pics[ri].frame)
-							}
-						}
-						disp.push(p.frame, p.displayIdx)
-					}
-					reg.End()
-					cost := time.Since(t1)
-					ws.Busy += cost
-					ws.Tasks++
-					opt.Obs.Record(obs.KindTask, wi, t1, cost, pg.g, -1, -1)
-					opt.Cost.Observe(int64(m.GOPs[pg.g].End-m.GOPs[pg.g].Offset), cost)
-					if failed {
-						continue
-					}
-					workMu.Lock()
-					st.Work.Add(work)
-					st.Errors.Add(es)
-					workMu.Unlock()
-				}
-			})
-		}(wi)
-	}
-	wg.Wait()
-	if err := errs.get(); err != nil {
-		st.Wall = time.Since(wallStart)
-		return err
-	}
-	return finishPlan(pl, pool, disp, st, wallStart)
-}
-
-// decodeResilientSlice executes the plan at the fine grain through the
-// same 2-D task queue as the legacy slice modes; a task is one
-// macroblock-row group (or the single substitution step of a dropped
-// picture), so same-row slices of a corrupted stream can never race.
-func decodeResilientSlice(m *StreamMap, pl *plan, opt Options, st *Stats) error {
-	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
-	pool.SetScrub(true)
-	disp := newDisplay(pool, opt.Sink, opt.Obs)
-
-	pics := pl.pics
-	q := &sliceQueue{
-		pics:     pics,
-		improved: opt.Mode == ModeSliceImproved,
-		pool:     pool,
-		depth:    opt.Workers + 4,
-		closed:   true, // batch: the full plan is known up front
-		obs:      opt.Obs,
-		workers:  opt.Workers,
-		affinity: opt.Affinity,
-	}
-	q.cond = sync.NewCond(&q.mu)
-
-	var errs firstErr
-	st.WorkerStats = make([]WorkerStats, opt.Workers)
-	var workMu sync.Mutex
-
-	wallStart := time.Now()
-	var wg sync.WaitGroup
-	for wi := 0; wi < opt.Workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			obs.Do(opt.Mode.String(), wi, func() {
-				ws := &st.WorkerStats[wi]
-				var scr sliceScratch
-				var taskAddrs []int
-				for {
-					p, ti, wait, ok := q.take(wi)
-					ws.Wait += wait
-					if !ok {
-						return
-					}
-					t0 := time.Now()
-					reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
-					var work decoder.WorkStats
-					var es ErrorStats
-					var sst SplitStats
-					taskAddrs = taskAddrs[:0]
-					err := runPlanSliceTask(&m.Seq, pics, p, ti, wi, opt, &scr, &work, &es, &sst, &taskAddrs)
-					reg.End()
-					cost := time.Since(t0)
-					ws.Busy += cost
-					ws.Tasks++
-					kind := obs.KindTask
-					if _, j, _ := p.taskAt(ti); j != nil {
-						kind = obs.KindSegment
-					}
-					opt.Obs.Record(kind, wi, t0, cost, p.gop, p.displayIdx, ti)
-					if p.fate == fateDecode {
-						opt.Cost.Observe(taskBytes(p, ti), cost)
-					}
-					if err != nil { // only possible under FailFast (never batch)
-						errs.set(err)
-						q.fail()
-						return
-					}
-					if q.finish(p, taskAddrs) {
-						if p.fate == fateDecode {
-							if miss := q.missing(p); len(miss) > 0 {
-								concealMBs(pics, p, miss)
-								es.ConcealedMBs += len(miss)
-							}
-						}
-						q.completePic(p)
-						for _, ri := range p.holds {
-							if pics[ri].frame.Release() {
-								pool.Put(pics[ri].frame)
-							}
-						}
-						disp.push(p.frame, p.displayIdx)
-					}
-					workMu.Lock()
-					st.Work.Add(work)
-					st.Errors.Add(es)
-					st.Split.Add(sst)
-					workMu.Unlock()
-				}
-			})
-		}(wi)
-	}
-	wg.Wait()
-	if err := errs.get(); err != nil {
-		st.Wall = time.Since(wallStart)
-		return err
-	}
-	return finishPlan(pl, pool, disp, st, wallStart)
 }
 
 // runPlanSliceTask executes task ti of planned picture p: the single
 // substitution step of a dropped picture, one macroblock-row group of
 // slices, or one segment of a split slice. Damage is tallied into es and
 // split activity into sst; reconstructed macroblock addresses are
-// appended to taskAddrs. Shared by the batch and streaming slice
-// executors; a non-nil error is only possible under FailFast (the
-// streaming path runs that policy through the plan executor too).
+// appended to taskAddrs. A non-nil error is only possible under
+// FailFast.
 func runPlanSliceTask(seq *mpeg2.SequenceHeader, pics []*picState, p *picState, ti, wi int, opt Options, scr *sliceScratch, work *decoder.WorkStats, es *ErrorStats, sst *SplitStats, taskAddrs *[]int) error {
 	if p.fate == fateSubstitute {
-		var src *frame.Frame
-		if p.subFrom >= 0 {
-			src = pics[p.subFrom].frame
-		}
-		if !p.frame.CopyPixelsFrom(src) {
-			p.frame.Fill(128)
-		}
+		substitutePic(pics, p)
 		return nil
 	}
 	refs := picRefs(pics, p)

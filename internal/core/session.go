@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,13 +55,8 @@ type Session struct {
 // substitute) every picture of one planned group. The service's pool
 // workers execute it via Session.Run.
 type SessionTask struct {
-	s     *Session
-	pics  []*picState // plan-prefix snapshot covering the group
-	first int         // plan index of the group's first picture
-	n     int
-	g     int   // group index, for error messages and obs coordinates
-	off   int   // absolute stream offset, for error messages
-	bytes int64 // compressed size, the cost model's estimate input
+	s *Session
+	gopTask
 
 	displayBase int   // first display index the group occupies
 	shed        int   // pictures of this group substituted by shedding
@@ -126,8 +120,8 @@ func (t *SessionTask) Assist() int { return t.assist }
 // at GOP grain (the paper's continuous-playback recommendation), and
 // Stats.Mode reports ModeGOP.
 func NewSession(opt Options) (*Session, error) {
-	if opt.Workers < 1 {
-		return nil, fmt.Errorf("core: need at least one worker")
+	if err := checkOptions(opt); err != nil {
+		return nil, err
 	}
 	opt.Mode = ModeGOP
 	return &Session{
@@ -252,13 +246,15 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	}
 	end := first + len(ps)
 	return &SessionTask{
-		s:           s,
-		pics:        s.pb.pl.pics[:end:end],
-		first:       first,
-		n:           len(ps),
-		g:           u.G,
-		off:         u.Base + u.Range.Offset,
-		bytes:       int64(len(u.Data)),
+		s: s,
+		gopTask: gopTask{
+			pics:  s.pb.pl.pics[:end:end],
+			first: first,
+			n:     len(ps),
+			g:     u.G,
+			off:   u.Base + u.Range.Offset,
+			bytes: int64(len(u.Data)),
+		},
 		displayBase: displayBase,
 		shed:        shedNow,
 		shedIdx:     shedIdx,
@@ -286,38 +282,16 @@ func (s *Session) Run(t *SessionTask, wi int) error {
 	opt := s.opt
 	opt.Resilience = t.policy
 	assist := 0
-	if t.assist > 1 && (opt.SplitIndex != nil || opt.SpeculativeSplit) {
+	if opt.SplitIndex != nil || opt.SpeculativeSplit {
 		assist = t.assist
 	}
-	for idx := t.first; idx < t.first+t.n; idx++ {
-		p := t.pics[idx]
-		newPlanFrame(s.pool, p)
-		var w decoder.WorkStats
-		var pes ErrorStats
-		var err error
-		if assist > 1 {
-			w, pes, err = decodeAssistPic(&s.seq, t.pics, idx, wi, opt, &scr, assist, &split)
-		} else {
-			w, pes, err = decodePlanPic(&s.seq, t.pics, idx, wi, opt, &scr)
-		}
-		work.Add(w)
-		es.Add(pes)
-		if err != nil {
-			err = fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err)
-			s.errs.set(err)
-			s.noteTask(t, wi, t1, work, es, split)
-			return err
-		}
-		for _, ri := range p.holds {
-			if t.pics[ri].frame.Release() {
-				s.pool.Put(t.pics[ri].frame)
-			}
-		}
-		s.disp.push(p.frame, p.displayIdx)
-	}
+	err := t.decode(&s.seq, s.pool, s.disp, wi, opt, assist, &scr, &work, &es, &split)
+	s.errs.set(err)
 	s.noteTask(t, wi, t1, work, es, split)
-	s.opt.Cost.Observe(t.bytes, time.Since(t1))
-	return nil
+	if err == nil {
+		s.opt.Cost.Observe(t.bytes, time.Since(t1))
+	}
+	return err
 }
 
 func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.WorkStats, es ErrorStats, split SplitStats) {
@@ -350,30 +324,5 @@ func (s *Session) Finish(cause error) (*Stats, error) {
 	st.Errors.Add(s.pb.pl.pre)
 	st.Shed.Add(s.pb.pl.shed)
 	st.Pictures = len(s.pb.pl.pics)
-	if err != nil {
-		s.disp.abandon()
-		for _, p := range s.pb.pl.pics {
-			if p.frame != nil {
-				s.pool.Reclaim(p.frame)
-			}
-		}
-		ps := s.pool.Stats()
-		st.PeakFrameBytes = ps.PeakBytes
-		st.FramesAllocated = ps.AllocBytes
-		st.LeakedFrameBytes = ps.InUseBytes
-		return st, err
-	}
-	displayed, dispErr := s.disp.finish()
-	st.Displayed = displayed
-	ps := s.pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
-	st.LeakedFrameBytes = ps.InUseBytes
-	if dispErr != nil {
-		return st, dispErr
-	}
-	if displayed != st.Pictures {
-		return st, fmt.Errorf("core: displayed %d of %d pictures", displayed, st.Pictures)
-	}
-	return st, nil
+	return st, settle(s.pb.pl.pics, s.pool, s.disp, st, err)
 }

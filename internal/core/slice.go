@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
-
-	rtrace "runtime/trace"
 
 	"mpeg2par/internal/bits"
 	"mpeg2par/internal/decoder"
@@ -14,15 +11,15 @@ import (
 	"mpeg2par/internal/memtrace"
 	"mpeg2par/internal/mpeg2"
 	"mpeg2par/internal/obs"
-	"mpeg2par/internal/vlc"
 )
 
 // picState is one picture in the 2-D task queue (first level: pictures in
 // decode order; second level: that picture's slices).
 type picState struct {
 	rng *PictureRange
+	idx int // plan index (decode order)
 	// data holds the bytes rng's offsets index into: the whole stream on
-	// the batch paths, the picture's own GOP buffer on the streaming path.
+	// a batch decode, the picture's own GOP buffer on the streaming path.
 	data       []byte
 	hdr        mpeg2.PictureHeader
 	params     mpeg2.PictureParams
@@ -54,7 +51,7 @@ type picState struct {
 	nCovered int
 	complete bool
 
-	// Resilient-plan fields (see plan.go); unused by the legacy paths.
+	// Plan fields (see plan.go).
 	gop       int     // index into StreamMap.GOPs
 	typeKnown bool    // the coding type survived the scan
 	headerOK  bool    // the full picture header parsed
@@ -70,13 +67,14 @@ type picState struct {
 
 	// unit, on the streaming path, is the in-flight GOP buffer this
 	// picture decodes from; retired when its last picture completes.
+	// Nil on a batch decode.
 	unit *unitState
 }
 
 // sliceQueue is the shared 2-D task queue plus the synchronization the
-// two slice variants differ in. The batch paths construct it closed over
-// the full picture list; the streaming path appends pictures as the scan
-// discovers them and closes the queue at end of stream.
+// two slice variants differ in. A batch decode appends the full plan at
+// once; the streaming path appends pictures as the scan discovers them.
+// Either way the queue closes at end of stream.
 type sliceQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -190,10 +188,7 @@ func (q *sliceQueue) take(wi int) (p *picState, slice int, wait time.Duration, o
 				// pictures plus references — the memory property the
 				// slice approach exists for. Retains: 1 for display plus
 				// one per picture that will reference this one.
-				p.frame = q.pool.Get()
-				p.frame.Retain(1 + p.deps)
-				p.frame.PictureType = "?IPB"[int(p.hdr.Type)]
-				p.frame.TemporalRef = p.hdr.TemporalReference
+				newPlanFrame(q.pool, p)
 			}
 			slice = q.pickTask(p, wi)
 			p.nextSlice++
@@ -304,228 +299,6 @@ func (q *sliceQueue) missing(p *picState) []int {
 	return out
 }
 
-// buildPicStates flattens the scanned stream into decode-order pictures
-// with resolved reference indices, parsing each picture header (the scan
-// process's job in the paper's design). Each picture's slice tasks are
-// packed per opt.Packing (LPT by byte size unless overridden).
-func buildPicStates(data []byte, m *StreamMap, opt Options) ([]*picState, error) {
-	var pics []*picState
-	var splitScratch []mpeg2.MB
-	refOld, refNew := -1, -1
-	lastRef := -1 // most recent reference picture across the whole stream:
-	// the improved version synchronizes at the end of every I/P picture
-	// even across GOP boundaries, exactly like the paper's scheme.
-	for g := range m.GOPs {
-		gop := &m.GOPs[g]
-		if gop.Closed {
-			refOld, refNew = -1, -1
-		}
-		for pi := range gop.Pictures {
-			pr := &gop.Pictures[pi]
-			r := bits.NewReader(data[:pr.End])
-			r.SeekBit(int64(pr.Offset+4) * 8)
-			hdr, err := mpeg2.ParsePictureHeader(r)
-			if err != nil {
-				return nil, fmt.Errorf("core: picture %d of GOP %d: %w", pi, g, err)
-			}
-			if len(pr.Slices) == 0 {
-				return nil, fmt.Errorf("core: picture %d of GOP %d has no slices", pi, g)
-			}
-			ps := &picState{
-				rng:        pr,
-				data:       data,
-				hdr:        hdr,
-				displayIdx: gop.FirstDisplay + pr.TemporalRef,
-				fwd:        -1,
-				bwd:        -1,
-				lastRef:    lastRef,
-				isRef:      hdr.Type != vlc.CodingB,
-				nTasks:     len(pr.Slices),
-				remaining:  len(pr.Slices),
-				subFrom:    -1,
-			}
-			ps.order = packOrder(sliceCosts(pr.Slices), opt.Packing, opt.PackSeed+int64(len(pics)))
-			ps.params = decoder.PictureParams(&m.Seq, &ps.hdr)
-			ps.bounds = sliceSpanBounds(pr.Slices, &ps.params)
-			if splitEligible(opt) {
-				// Legacy-path base tasks are individual slices, so every
-				// slice is a split candidate.
-				buildSplitTasks(ps, data, opt, opt.PackSeed+int64(len(pics)),
-					len(pr.Slices), func(b int) int { return b }, &splitScratch)
-			}
-			switch hdr.Type {
-			case vlc.CodingP:
-				if refNew < 0 {
-					return nil, fmt.Errorf("core: P picture without reference")
-				}
-				ps.fwd = refNew
-			case vlc.CodingB:
-				if refOld < 0 || refNew < 0 {
-					return nil, fmt.Errorf("core: B picture without two references")
-				}
-				ps.fwd, ps.bwd = refOld, refNew
-			}
-			idx := len(pics)
-			pics = append(pics, ps)
-			for _, ri := range []int{ps.fwd, ps.bwd} {
-				if ri >= 0 {
-					pics[ri].deps++
-				}
-			}
-			if ps.isRef {
-				refOld, refNew = refNew, idx
-				lastRef = idx
-			}
-		}
-	}
-	return pics, nil
-}
-
-// decodeSliceMode runs the fine-grained decoder (simple or improved).
-func decodeSliceMode(data []byte, m *StreamMap, opt Options, st *Stats) error {
-	pics, err := buildPicStates(data, m, opt)
-	if err != nil {
-		return err
-	}
-	pool := frame.NewPool(m.Seq.Width, m.Seq.Height)
-	if opt.Conceal {
-		// Same stale-pixel defense as the GOP mode: see decodeGOPMode.
-		pool.SetScrub(true)
-	}
-	disp := newDisplay(pool, opt.Sink, opt.Obs)
-
-	q := &sliceQueue{
-		pics:     pics,
-		improved: opt.Mode == ModeSliceImproved,
-		pool:     pool,
-		depth:    opt.Workers + 4,
-		closed:   true, // batch: the full picture list is known up front
-		obs:      opt.Obs,
-		workers:  opt.Workers,
-		affinity: opt.Affinity,
-	}
-	q.cond = sync.NewCond(&q.mu)
-
-	var errs firstErr
-	st.WorkerStats = make([]WorkerStats, opt.Workers)
-	if opt.Profile {
-		st.SliceProf = make([]PicProfile, len(pics))
-		for i, p := range pics {
-			st.SliceProf[i] = PicProfile{
-				Ref:        p.isRef,
-				Type:       "?IPB"[int(p.hdr.Type)],
-				SliceCosts: make([]time.Duration, p.nTasks),
-				DisplayIdx: p.displayIdx,
-			}
-		}
-	}
-	var workMu sync.Mutex
-
-	release := func(f *frame.Frame) {
-		if f.Release() {
-			pool.Put(f)
-		}
-	}
-
-	wallStart := time.Now()
-	var wg sync.WaitGroup
-	for wi := 0; wi < opt.Workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			obs.Do(opt.Mode.String(), wi, func() {
-				ws := &st.WorkerStats[wi]
-				var scr sliceScratch
-				for {
-					p, ti, wait, ok := q.take(wi)
-					ws.Wait += wait
-					if !ok {
-						return
-					}
-					t0 := time.Now()
-					reg := rtrace.StartRegion(context.Background(), "mpeg2par.sliceTask")
-					var work decoder.WorkStats
-					var addrs []int
-					var err error
-					var sst SplitStats
-					kind := obs.KindTask
-					if si, j, seg := p.taskAt(ti); j != nil {
-						kind = obs.KindSegment
-						work, addrs, err = runSegment(&m.Seq, &p.hdr, &p.params, p.data,
-							picRefs(pics, p), p.frame, j, seg, wi, opt, opt.Tracer, &scr, &sst)
-					} else {
-						work, addrs, err = decodeOneSlice(m, pics, p, si, wi, opt, &scr)
-					}
-					reg.End()
-					cost := time.Since(t0)
-					ws.Busy += cost
-					ws.Tasks++
-					opt.Obs.Record(kind, wi, t0, cost, -1, p.displayIdx, ti)
-					opt.Cost.Observe(taskBytes(p, ti), cost)
-					if err != nil && !opt.Conceal {
-						errs.set(err)
-						q.fail()
-						return
-					}
-					workMu.Lock()
-					st.Work.Add(work)
-					st.Split.Add(sst)
-					if opt.Profile {
-						st.SliceProf[pindex(pics, p)].SliceCosts[ti] = cost
-					}
-					workMu.Unlock()
-					if q.finish(p, addrs) {
-						// Picture complete: conceal anything the damaged
-						// slices left unwritten (before publishing completeness,
-						// so dependents never read a half-concealed reference),
-						// release the frames it referenced, and ship it to the
-						// display process.
-						if miss := q.missing(p); len(miss) > 0 {
-							if !opt.Conceal {
-								errs.set(fmt.Errorf("core: picture at display %d covered %d of %d macroblocks",
-									p.displayIdx, p.params.MBWidth*p.params.MBHeight-len(miss),
-									p.params.MBWidth*p.params.MBHeight))
-								q.fail()
-								return
-							}
-							concealMBs(pics, p, miss)
-							workMu.Lock()
-							st.Concealed += len(miss)
-							workMu.Unlock()
-						}
-						q.completePic(p)
-						for _, ri := range []int{p.fwd, p.bwd} {
-							if ri >= 0 {
-								release(pics[ri].frame)
-							}
-						}
-						disp.push(p.frame, p.displayIdx)
-					}
-				}
-			})
-		}(wi)
-	}
-	wg.Wait()
-	displayed, dispErr := disp.finish()
-	st.Wall = time.Since(wallStart)
-
-	if err := errs.get(); err != nil {
-		return err
-	}
-	if dispErr != nil {
-		return dispErr
-	}
-	st.Pictures = len(pics)
-	st.Displayed = displayed
-	ps := pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
-	if displayed != len(pics) {
-		return fmt.Errorf("core: displayed %d of %d pictures", displayed, len(pics))
-	}
-	return nil
-}
-
 // concealMBs fills the listed macroblock addresses of p's frame by
 // temporal concealment.
 func concealMBs(pics []*picState, p *picState, addrs []int) {
@@ -541,17 +314,6 @@ func concealMBs(pics []*picState, p *picState, addrs []int) {
 	}
 }
 
-func pindex(pics []*picState, p *picState) int {
-	// Pictures are few; displayIdx is unique but not decode-ordered, so
-	// search by identity.
-	for i := range pics {
-		if pics[i] == p {
-			return i
-		}
-	}
-	return -1
-}
-
 // sliceScratch is one worker's reusable decode state: a bit reader, a
 // macroblock buffer and a coverage address list, recycled across every
 // slice the worker decodes so the steady-state loop is allocation-free.
@@ -559,16 +321,6 @@ type sliceScratch struct {
 	r     bits.Reader
 	mbs   []mpeg2.MB
 	addrs []int
-}
-
-// decodeOneSlice parses and reconstructs a single slice — the unit of
-// work of the fine-grained decoder. It returns the addresses of the
-// macroblocks it reconstructed, for picture-coverage accounting. The
-// returned slice aliases scr.addrs and is valid until the worker's next
-// call.
-func decodeOneSlice(m *StreamMap, pics []*picState, p *picState, si, wi int, opt Options, scr *sliceScratch) (decoder.WorkStats, []int, error) {
-	return decodeSliceRange(p.data, &m.Seq, &p.hdr, &p.params, p.rng.Slices[si],
-		p.sliceBound(si), picRefs(pics, p), p.frame, wi, opt.Tracer, scr)
 }
 
 // picRefs resolves a picture's prediction reference frames.

@@ -52,10 +52,10 @@ func (s SplitStats) Any() bool {
 
 // segTask is one entry of a picture's expanded task table. A picture
 // whose slices all decode whole has a nil task table and the queue's
-// task indices address slices (legacy path) or row groups (plan path)
-// directly; once any slice splits, every task is routed through the
-// table: base names the underlying slice/group, and join/seg identify a
-// segment of a split slice (join == nil for unsplit tasks).
+// task indices address row groups directly; once any slice splits,
+// every task is routed through the table: base names the underlying row
+// group, and join/seg identify a segment of a split slice (join == nil
+// for unsplit tasks).
 type segTask struct {
 	base int
 	join *splitJoin
@@ -141,10 +141,7 @@ func taskBytes(p *picState, ti int) int64 {
 	if j != nil {
 		return j.segBytes[seg]
 	}
-	if p.groups != nil {
-		return groupCost(p.rng.Slices, p.groups[base])
-	}
-	return int64(p.rng.Slices[base].Bytes)
+	return groupCost(p.rng.Slices, p.groups[base])
 }
 
 // splitEligible reports whether this decode should attempt intra-slice
@@ -154,7 +151,7 @@ func splitEligible(opt Options) bool {
 	if opt.SplitIndex == nil && !opt.SpeculativeSplit {
 		return false
 	}
-	return opt.Mode == ModeSliceSimple || opt.Mode == ModeSliceImproved
+	return opt.Mode.sliceGrain()
 }
 
 // splitParts resolves how many segments a split slice targets.
@@ -221,19 +218,19 @@ func newSplitJoin(data []byte, params *mpeg2.PictureParams, si int, sr SliceRang
 	return j
 }
 
-// buildSplitTasks expands a picture's base tasks (slices on the legacy
-// path, row groups on the plan path) into a segment task table, splitting
-// every eligible tall slice. nBase is the base task count; baseSlice
-// maps a base task to its single slice index, or -1 when the task is
-// not a splittable single slice. Returns false (leaving the picture's
-// task fields untouched) when nothing split.
-func buildSplitTasks(p *picState, data []byte, opt Options, seed int64, nBase int, baseSlice func(int) int, scratch *[]mpeg2.MB) bool {
+// buildSplitTasks expands a picture's row-group tasks into a segment
+// task table, splitting every eligible tall slice. Only a row group
+// holding a single slice can split: a multi-slice group exists because
+// same-row slices must serialize, which a segment fan-out would break.
+// Returns false (leaving the picture's task fields untouched) when
+// nothing split.
+func buildSplitTasks(p *picState, data []byte, opt Options, seed int64, scratch *[]mpeg2.MB) bool {
 	var tasks []segTask
 	var costs []int64
 	split := false
-	for b := 0; b < nBase; b++ {
-		si := baseSlice(b)
-		if si >= 0 {
+	for b, grp := range p.groups {
+		if len(grp) == 1 {
+			si := grp[0]
 			if j := newSplitJoin(data, &p.params, si, p.rng.Slices[si], p.sliceBound(si), opt, scratch); j != nil {
 				for seg := range j.res {
 					tasks = append(tasks, segTask{base: b, join: j, seg: seg})

@@ -301,11 +301,14 @@ func TestErrBadOption(t *testing.T) {
 		name string
 		opt  Options
 		want string // substring naming the offending option
+		// session marks the cases NewSession must also reject (it
+		// ignores Mode: a session always runs at GOP grain).
+		session bool
 	}{
-		{"zero workers", Options{Mode: ModeSliceImproved}, "Workers"},
-		{"negative workers", Options{Mode: ModeSliceImproved, Workers: -2}, "Workers"},
-		{"unknown mode", Options{Mode: Mode(99), Workers: 1}, "Mode"},
-		{"negative parts", Options{Mode: ModeSliceImproved, Workers: 1, SplitParts: -1}, "SplitParts"},
+		{"zero workers", Options{Mode: ModeSliceImproved}, "Workers", true},
+		{"negative workers", Options{Mode: ModeSliceImproved, Workers: -2}, "Workers", true},
+		{"unknown mode", Options{Mode: Mode(99), Workers: 1}, "Mode", false},
+		{"negative parts", Options{Mode: ModeSliceImproved, Workers: 1, SplitParts: -1}, "SplitParts", true},
 	}
 	for _, tc := range cases {
 		_, err := Decode(res.Data, tc.opt)
@@ -318,6 +321,16 @@ func TestErrBadOption(t *testing.T) {
 		if _, err := NewStreamExecutor(context.Background(), tc.opt); !errors.Is(err, ErrBadOption) {
 			t.Fatalf("%s: NewStreamExecutor err %v, want ErrBadOption", tc.name, err)
 		}
+		if !tc.session {
+			continue
+		}
+		_, err = NewSession(tc.opt)
+		if !errors.Is(err, ErrBadOption) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: NewSession err %v, want ErrBadOption naming %s", tc.name, err, tc.want)
+		}
+	}
+	if _, err := NewSession(Options{Mode: Mode(99), Workers: 1}); err != nil {
+		t.Fatalf("NewSession must ignore Mode: %v", err)
 	}
 	if _, err := NewStreamExecutor(context.Background(), Options{Mode: ModeSliceImproved, Workers: 1, Profile: true}); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("streaming Profile err %v, want ErrBadOption", err)

@@ -63,9 +63,10 @@ type unitState struct {
 }
 
 // retire records one completed picture; the last one releases the
-// unit's bytes and its window slot, unblocking the scan process.
+// unit's bytes and its window slot, unblocking the scan process. A nil
+// unit (a batch decode has none) retires nothing.
 func (u *unitState) retire() {
-	if atomic.AddInt32(&u.remaining, -1) != 0 {
+	if u == nil || atomic.AddInt32(&u.remaining, -1) != 0 {
 		return
 	}
 	e := u.exec
@@ -75,27 +76,16 @@ func (u *unitState) retire() {
 	<-e.sem
 }
 
-// gopTask is one coarse-grained streaming task: decode every picture of
-// a planned group. pics is a plan-prefix snapshot long enough to cover
-// the group's pictures and everything they reference.
-type gopTask struct {
-	pics  []*picState
-	first int // plan index of the group's first picture
-	n     int
-	g     int
-	off   int // absolute stream offset, for error messages
-	unit  *unitState
-}
-
-// StreamExecutor runs the decode side of the streaming pipeline: the
-// scanner Feeds it groups of pictures as they are discovered, workers
-// decode them under the batch executors' exact plan semantics, and the
-// display process delivers frames in display order as soon as they are
-// ready — all long before the stream has been fully read.
+// StreamExecutor is the plan executor: one pool of GOP-grain or
+// slice-grain workers that decodes a plan, and the display process that
+// delivers frames in display order as soon as they are ready. On the
+// streaming path the scanner Feeds it groups of pictures as they are
+// discovered, long before the stream has been fully read; a batch
+// decode (DecodeScanned) hands it the whole plan at once.
 //
 // Feed and Finish must be called from a single goroutine (the scan
-// process); the workers it starts are internal. Every mode and policy
-// produces output bit-identical to the batch path because both sides
+// process); the workers it starts are internal. A streaming decode is
+// bit-identical to a batch decode in every mode and policy because both
 // execute plans grown by the same planBuilder over the same scan.
 type StreamExecutor struct {
 	ctx context.Context
@@ -109,7 +99,8 @@ type StreamExecutor struct {
 	sem chan struct{}
 
 	seq       mpeg2.SequenceHeader
-	pb        *planBuilder
+	pb        *planBuilder // streaming intake; nil on a batch decode
+	pl        *plan        // the plan being executed
 	pool      *frame.Pool
 	disp      *displayProc
 	started   bool
@@ -154,15 +145,17 @@ func (e *StreamExecutor) setErr(err error) {
 // ModeSequential runs on one worker regardless of Options.Workers,
 // preserving the batch sequential baseline's decode order.
 func NewStreamExecutor(ctx context.Context, opt Options) (*StreamExecutor, error) {
-	if opt.Workers < 1 {
-		return nil, badOption("Workers=%d (need at least one worker)", opt.Workers)
+	e, err := newExecutor(ctx, opt)
+	if err == nil && opt.Profile {
+		return nil, badOption("Profile requires the batch decoder")
 	}
-	if opt.SplitParts < 0 {
-		return nil, badOption("SplitParts=%d (must be >= 0)", opt.SplitParts)
-	}
-	w := opt.Workers
-	if opt.Mode == ModeSequential {
-		w = 1
+	return e, err
+}
+
+// newExecutor validates opt and prepares an executor for either intake.
+func newExecutor(ctx context.Context, opt Options) (*StreamExecutor, error) {
+	if err := checkOptions(opt); err != nil {
+		return nil, err
 	}
 	switch opt.Mode {
 	case ModeGOP, ModeSliceSimple, ModeSliceImproved, ModeSequential:
@@ -172,9 +165,7 @@ func NewStreamExecutor(ctx context.Context, opt Options) (*StreamExecutor, error
 	default:
 		return nil, badOption("Mode=%d (unknown mode)", int(opt.Mode))
 	}
-	if opt.Profile {
-		return nil, badOption("Profile requires the batch decoder")
-	}
+	w := opt.EffectiveWorkers()
 	return &StreamExecutor{
 		ctx:     ctx,
 		opt:     opt,
@@ -185,18 +176,14 @@ func NewStreamExecutor(ctx context.Context, opt Options) (*StreamExecutor, error
 	}, nil
 }
 
-// start spins up the executor once the first unit has arrived. For
-// ModeAuto the first group's geometry, projected across the scan-ahead
-// window, resolves the mode and worker count here; the mode is fixed
-// for the rest of the stream (only the worker limit adapts online).
-func (e *StreamExecutor) start(u *Unit) {
+// start spins up the pool and the display process over the plan being
+// executed. gopCap sizes the GOP-task queue: the scan-ahead window on
+// the streaming path (each queued task holds a window slot, so a send
+// never blocks), the planned group count on a batch decode.
+func (e *StreamExecutor) start(pl *plan, gopCap int) {
 	e.started = true
 	e.wallStart = time.Now()
-	if e.opt.Mode == ModeAuto {
-		e.resolveAuto(u)
-	}
-	e.pb = newPlanBuilder(&e.seq, e.opt.Resilience, e.opt.Packing, e.opt.PackSeed)
-	e.pb.setSplit(e.opt)
+	e.pl = pl
 	e.pool = frame.NewPool(e.seq.Width, e.seq.Height)
 	if e.opt.Resilience != FailFast {
 		e.pool.SetScrub(true)
@@ -204,8 +191,7 @@ func (e *StreamExecutor) start(u *Unit) {
 	e.disp = newDisplay(e.pool, e.opt.Sink, e.opt.Obs)
 	e.st.WorkerStats = make([]WorkerStats, e.workers)
 	e.opt.Obs.SetMeta(e.opt.Mode.String(), e.workers)
-	switch e.opt.Mode {
-	case ModeSliceSimple, ModeSliceImproved:
+	if e.opt.Mode.sliceGrain() {
 		e.q = &sliceQueue{
 			improved: e.opt.Mode == ModeSliceImproved,
 			pool:     e.pool,
@@ -219,15 +205,80 @@ func (e *StreamExecutor) start(u *Unit) {
 			e.wg.Add(1)
 			go e.sliceWorker(wi)
 		}
-	default:
-		// Each queued task holds a window slot, so the channel never
-		// blocks a send at this capacity.
-		e.gopTasks = make(chan gopTask, cap(e.sem))
-		for wi := 0; wi < e.workers; wi++ {
-			e.wg.Add(1)
-			go e.gopWorker(wi)
+		return
+	}
+	e.gopTasks = make(chan gopTask, gopCap)
+	for wi := 0; wi < e.workers; wi++ {
+		e.wg.Add(1)
+		go e.gopWorker(wi)
+	}
+}
+
+// startStream starts the streaming intake once the first unit has
+// arrived. For ModeAuto the first group's geometry, projected across
+// the scan-ahead window, resolves the mode and worker count here; the
+// mode is fixed for the rest of the stream (only the worker limit
+// adapts online).
+func (e *StreamExecutor) startStream(u *Unit) {
+	e.seq = u.Seq
+	if e.opt.Mode == ModeAuto {
+		e.resolveAuto(u)
+	}
+	e.pb = newPlanBuilder(&e.seq, e.opt.Resilience, e.opt.Packing, e.opt.PackSeed)
+	e.pb.setSplit(e.opt)
+	e.start(&e.pb.pl, cap(e.sem))
+}
+
+// runBatch executes a whole scanned stream: buildPlan plans it up
+// front, and the plan reaches the same workers, display process and
+// teardown as the streaming intake in one call — GOP tasks queued in
+// packed order (stream order for the sequential baseline), or every
+// picture appended to the slice queue, which Finish then closes. A
+// batch decode holds no scan-ahead window, so the window and unit
+// gauges stay zero.
+func (e *StreamExecutor) runBatch(data []byte, m *StreamMap) (*Stats, error) {
+	e.seq = m.Seq
+	pl, err := buildPlan(data, m, e.opt)
+	if err != nil {
+		return nil, err
+	}
+	if e.opt.Profile && e.opt.Mode.sliceGrain() {
+		e.st.SliceProf = make([]PicProfile, len(pl.pics))
+		for i, p := range pl.pics {
+			e.st.SliceProf[i] = PicProfile{
+				Ref:        p.isRef,
+				Type:       "?IPB"[int(p.hdr.Type)],
+				SliceCosts: make([]time.Duration, p.nTasks),
+				DisplayIdx: p.displayIdx,
+			}
+		}
+	} else if e.opt.Profile {
+		e.st.GOPCosts = make([]TaskCost, len(m.GOPs))
+	}
+	e.start(pl, len(pl.gops))
+	if e.q != nil {
+		e.q.append(pl.pics)
+		return e.Finish(nil)
+	}
+	costs := make([]int64, len(pl.gops))
+	for i, pg := range pl.gops {
+		costs[i] = int64(m.GOPs[pg.g].End - m.GOPs[pg.g].Offset)
+	}
+	var order []int
+	if e.opt.Mode != ModeSequential {
+		order = packOrder(costs, e.opt.Packing, e.opt.PackSeed)
+	}
+	for i := range pl.gops {
+		if order != nil {
+			i = order[i]
+		}
+		pg := pl.gops[i]
+		e.gopTasks <- gopTask{
+			pics: pl.pics, first: pg.first, n: pg.n, g: pg.g,
+			off: m.GOPs[pg.g].Offset, bytes: costs[i],
 		}
 	}
+	return e.Finish(nil)
 }
 
 // resolveAuto picks the mode and worker count for an auto-tuned
@@ -276,8 +327,7 @@ func (e *StreamExecutor) Feed(u Unit) error {
 	}
 	e.opt.Obs.Record(obs.KindFeed, obs.LaneScan, feedStart, time.Since(feedStart), u.G, -1, -1)
 	if !e.started {
-		e.seq = u.Seq
-		e.start(&u)
+		e.startStream(&u)
 	}
 	us := &unitState{exec: e, bytes: int64(len(u.Data))}
 	e.mu.Lock()
@@ -310,14 +360,13 @@ func (e *StreamExecutor) Feed(u Unit) error {
 		us.retire()
 		return nil
 	}
-	switch e.opt.Mode {
-	case ModeSliceSimple, ModeSliceImproved:
+	if e.q != nil {
 		us.remaining = int32(len(ps))
 		for _, p := range ps {
 			p.unit = us
 		}
 		e.q.append(ps)
-	default:
+	} else {
 		us.remaining = 1
 		end := first + len(ps)
 		e.gopTasks <- gopTask{
@@ -326,6 +375,7 @@ func (e *StreamExecutor) Feed(u Unit) error {
 			n:     len(ps),
 			g:     u.G,
 			off:   u.Base + u.Range.Offset,
+			bytes: us.bytes,
 			unit:  us,
 		}
 	}
@@ -399,46 +449,19 @@ func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 	}
 	if e.started {
 		st.Wall = time.Since(e.wallStart)
-		st.Errors.Add(e.pb.pl.pre)
-		st.Pictures = len(e.pb.pl.pics)
+		st.Errors.Add(e.pl.pre)
+		st.Pictures = len(e.pl.pics)
 	}
 	defer e.fillGauges()
-	if err != nil {
-		if e.started {
-			e.disp.abandon()
-			for _, p := range e.pb.pl.pics {
-				if p.frame != nil {
-					e.pool.Reclaim(p.frame)
-				}
-			}
-			ps := e.pool.Stats()
-			st.PeakFrameBytes = ps.PeakBytes
-			st.FramesAllocated = ps.AllocBytes
-			st.LeakedFrameBytes = ps.InUseBytes
-		}
+	if !e.started {
 		return st, err
 	}
-	if !e.started {
-		return st, nil
-	}
-	displayed, dispErr := e.disp.finish()
-	st.Displayed = displayed
-	ps := e.pool.Stats()
-	st.PeakFrameBytes = ps.PeakBytes
-	st.FramesAllocated = ps.AllocBytes
-	st.LeakedFrameBytes = ps.InUseBytes
-	if dispErr != nil {
-		return st, dispErr
-	}
-	if displayed != st.Pictures {
-		return st, fmt.Errorf("core: displayed %d of %d pictures", displayed, st.Pictures)
-	}
-	return st, nil
+	return st, settle(e.pl.pics, e.pool, e.disp, st, err)
 }
 
-// gopWorker is the streaming coarse-grained worker: one task decodes a
-// whole group of pictures, exactly as in decodeResilientGOP (and, with
-// one worker, in the same order as decodeResilientSeq).
+// gopWorker is the coarse-grained worker: one task decodes a whole
+// group of pictures (with one worker, in the sequential baseline's
+// order).
 func (e *StreamExecutor) gopWorker(wi int) {
 	defer e.wg.Done()
 	obs.Do(e.opt.Mode.String(), wi, func() {
@@ -466,46 +489,34 @@ func (e *StreamExecutor) gopWorker(wi int) {
 func (e *StreamExecutor) runGOPTask(t *gopTask, wi int, ws *WorkerStats, scr *sliceScratch) {
 	t1 := time.Now()
 	reg := rtrace.StartRegion(context.Background(), "mpeg2par.gopTask")
-	defer reg.End()
 	var work decoder.WorkStats
 	var es ErrorStats
-	for idx := t.first; idx < t.first+t.n; idx++ {
-		p := t.pics[idx]
-		newPlanFrame(e.pool, p)
-		w, pes, err := decodePlanPic(&e.seq, t.pics, idx, wi, e.opt, scr)
-		work.Add(w)
-		es.Add(pes)
-		if err != nil {
-			e.setErr(fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err))
-			cost := time.Since(t1)
-			ws.Busy += cost
-			ws.Tasks++
-			e.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
-			return
-		}
-		for _, ri := range p.holds {
-			if t.pics[ri].frame.Release() {
-				e.pool.Put(t.pics[ri].frame)
-			}
-		}
-		e.disp.push(p.frame, p.displayIdx)
-	}
+	var sst SplitStats
+	err := t.decode(&e.seq, e.pool, e.disp, wi, e.opt, 0, scr, &work, &es, &sst)
+	reg.End()
 	cost := time.Since(t1)
 	ws.Busy += cost
 	ws.Tasks++
-	e.tuner.NoteTask(cost)
 	e.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
-	e.opt.Cost.Observe(t.unit.bytes, cost)
+	if err != nil {
+		e.setErr(err)
+		return
+	}
+	e.tuner.NoteTask(cost)
+	e.opt.Cost.Observe(t.bytes, cost)
 	e.workMu.Lock()
 	e.st.Work.Add(work)
 	e.st.Errors.Add(es)
+	if e.opt.Profile {
+		e.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: work}
+	}
 	e.workMu.Unlock()
 }
 
-// sliceWorker is the streaming fine-grained worker: the same 2-D task
-// queue as decodeResilientSlice, except the queue grows while the scan
-// runs, and each completed picture retires its share of the unit that
-// carried its bytes.
+// sliceWorker is the fine-grained worker over the 2-D task queue. On
+// the streaming path the queue grows while the scan runs, and each
+// completed picture retires its share of the unit that carried its
+// bytes.
 func (e *StreamExecutor) sliceWorker(wi int) {
 	defer e.wg.Done()
 	obs.Do(e.opt.Mode.String(), wi, func() {
@@ -573,6 +584,9 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 			e.st.Work.Add(work)
 			e.st.Errors.Add(es)
 			e.st.Split.Add(sst)
+			if e.opt.Profile {
+				e.st.SliceProf[p.idx].SliceCosts[ti] = cost
+			}
 			e.workMu.Unlock()
 		}
 	})

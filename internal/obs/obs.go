@@ -158,8 +158,8 @@ func StreamOf(lane int) (int, bool) {
 }
 
 // Event is one completed, timestamped span of decoder activity.
-// Coordinates that do not apply to the event carry -1 (a slice task of
-// the legacy fine-grained path, for example, has no GOP coordinate).
+// Coordinates that do not apply to the event carry -1 (a queue wait,
+// for example, has no GOP, picture or slice coordinate).
 type Event struct {
 	Kind Kind `json:"kind"`
 	// Lane is the worker id, or LaneScan / LaneDisplay.

@@ -91,7 +91,7 @@ type Summary struct {
 	VerifyHits   int `json:"verify_hits"`
 	VerifyMisses int `json:"verify_misses"`
 
-	// Pipeline lanes (zero when the batch paths produced the trace).
+	// Pipeline lanes (zero when a batch decode produced the trace).
 	ScanSpans   int           `json:"scan_spans"`
 	ScanTime    time.Duration `json:"scan_ns"`
 	Feeds       int           `json:"feeds"`

@@ -109,7 +109,15 @@ func (tk *task) effDeadline(lag time.Duration) time.Time {
 //  2. Starvation guard: the head task waiting longest, once past
 //     StarveWindow, runs regardless of band or deadline.
 //  3. EDF: highest priority band first, earliest effective deadline
-//     within the band, stream id as the deterministic tiebreak.
+//     within the band, stream id as the deterministic tiebreak — over
+//     the band's streams no more than one task ahead of its least
+//     served queued stream on the service clock (stream.serviceKey).
+//     Without that lag bound a stream whose first tasks complete
+//     before its peers have fed theirs refeeds with deadlines ahead of
+//     their first ones and runs a whole in-flight window ahead of the
+//     class, breaking the class fairness the fair order guarantees.
+//     The least served stream is always eligible, so the bound only
+//     reorders the band, never idles a worker.
 //
 // Paused streams are skipped unless failed (teardown drain), exactly
 // like the fair path.
@@ -118,15 +126,12 @@ func (s *Server) pickEDFLocked(now time.Time) *task {
 		must     *stream
 		mustKey  float64
 		starve   *stream
-		edf      *stream
-		edfDl    time.Time
 		starveAt time.Time
+		band     *stream // a stream of the highest queued priority band
+		floor    float64 // least serviceKey among that band's queued streams
 	)
 	for _, st := range s.streams {
-		if len(st.pending) == 0 {
-			continue
-		}
-		if st.paused && st.sess.Err() == nil {
+		if !st.runnable() {
 			continue
 		}
 		if st.mustServe {
@@ -141,31 +146,37 @@ func (s *Server) pickEDFLocked(now time.Time) *task {
 				starve, starveAt = st, head.enq
 			}
 		}
-		dl := head.effDeadline(s.cfg.BestEffortLag)
-		if edf == nil {
-			edf, edfDl = st, dl
-			continue
-		}
-		switch {
-		case st.prio != edf.prio:
-			if st.prio > edf.prio {
-				edf, edfDl = st, dl
-			}
-		case dl.Before(edfDl), dl.Equal(edfDl) && st.id < edf.id:
-			edf, edfDl = st, dl
+		switch key := st.serviceKey(); {
+		case band == nil || st.prio > band.prio:
+			band, floor = st, key
+		case st.prio == band.prio && key < floor:
+			floor = key
 		}
 	}
-	best := edf
-	if starve != nil {
-		best = starve
-	}
-	if must != nil {
-		best = must
-	}
-	if best == nil {
+	switch {
+	case must != nil:
+		return s.takeLocked(must)
+	case starve != nil:
+		return s.takeLocked(starve)
+	case band == nil:
 		return nil
 	}
-	return s.takeLocked(best)
+	var edf *stream
+	var edfDl time.Time
+	for _, st := range s.streams {
+		if !st.runnable() || st.prio != band.prio {
+			continue
+		}
+		head := st.pending[0]
+		if st.serviceKey()-floor > float64(head.pics)/st.weight {
+			continue
+		}
+		dl := head.effDeadline(s.cfg.BestEffortLag)
+		if edf == nil || dl.Before(edfDl) || (dl.Equal(edfDl) && st.id < edf.id) {
+			edf, edfDl = st, dl
+		}
+	}
+	return s.takeLocked(edf)
 }
 
 // takeLocked pops a stream's head task and settles the queue gauges.

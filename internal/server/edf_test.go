@@ -187,6 +187,45 @@ func TestPickEDFOrdering(t *testing.T) {
 		}
 	})
 
+	t.Run("a stream over one task ahead of its band waits", func(t *testing.T) {
+		// Stream 1 has completed two 4-picture tasks while stream 2 has
+		// completed none: its earlier deadline must not run it a third
+		// task ahead of the class.
+		ahead := qstream(1, 0, &task{enq: now, deadline: ms(10), pics: 4})
+		ahead.served = 8
+		s := edfServer(ahead, qstream(2, 0, &task{enq: now, deadline: ms(50), pics: 4}))
+		if tk := s.pickEDFLocked(now); tk == nil || tk.st.id != 2 {
+			t.Fatalf("picked %+v, want stream 2 (stream 1 past the lag bound)", tk)
+		}
+		// One task ahead is within the bound: EDF order again.
+		ahead.served = 4
+		ahead.pending = []*task{{st: ahead, enq: now, deadline: ms(10), pics: 4}}
+		s = edfServer(ahead, qstream(2, 0, &task{enq: now, deadline: ms(50), pics: 4}))
+		if tk := s.pickEDFLocked(now); tk == nil || tk.st.id != 1 {
+			t.Fatalf("picked %+v, want stream 1 (within one task of its band)", tk)
+		}
+	})
+
+	t.Run("the lag bound is per band and per service clock", func(t *testing.T) {
+		// The high band's only stream runs however far ahead of a lower
+		// band it is; a newcomer whose clock starts at its peer's is not
+		// behind it.
+		hi := qstream(1, 1, &task{enq: now, deadline: ms(50), pics: 4})
+		hi.served = 100
+		s := edfServer(hi, qstream(2, 0, &task{enq: now, deadline: ms(10), pics: 4}))
+		if tk := s.pickEDFLocked(now); tk == nil || tk.st.id != 1 {
+			t.Fatalf("picked %+v, want stream 1 (alone in the top band)", tk)
+		}
+		old := qstream(3, 0, &task{enq: now, deadline: ms(10), pics: 4})
+		old.served = 100
+		newcomer := qstream(4, 0, &task{enq: now, deadline: ms(50), pics: 4})
+		newcomer.vbase = 100
+		s = edfServer(old, newcomer)
+		if tk := s.pickEDFLocked(now); tk == nil || tk.st.id != 3 {
+			t.Fatalf("picked %+v, want stream 3 (newcomer joined at its clock)", tk)
+		}
+	})
+
 	t.Run("starvation guard overrides bands and deadlines", func(t *testing.T) {
 		s := edfServer(
 			qstream(1, 1, &task{enq: now, deadline: ms(1)}),
@@ -335,5 +374,25 @@ func TestDemandForUncalibratedIsConservative(t *testing.T) {
 	// And the estimate is clamped to pool capacity.
 	if d := s.demandFor(1e9); d != s.capacity() {
 		t.Fatalf("runaway demand %v, want capacity clamp %v", d, s.capacity())
+	}
+}
+
+// TestServiceClock pins where a registering stream starts: at the least
+// serviceKey among admitted streams, paused ones aside (they are held
+// back on purpose and must not drag newcomers' clocks behind the
+// running class), and at zero on an idle server.
+func TestServiceClock(t *testing.T) {
+	if c := edfServer().serviceClockLocked(); c != 0 {
+		t.Fatalf("idle clock %v, want 0", c)
+	}
+	a := qstream(1, 0)
+	a.served = 12
+	b := qstream(2, 1) // weight 2: 8 pictures are 4 on the clock
+	b.served, b.vbase = 8, 3
+	paused := qstream(3, 0)
+	paused.paused = true
+	s := edfServer(a, b, paused)
+	if c := s.serviceClockLocked(); c != 7 {
+		t.Fatalf("clock %v, want 7 (stream 2: 3 + 8/2)", c)
 	}
 }

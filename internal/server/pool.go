@@ -16,6 +16,7 @@ type task struct {
 	enq      time.Time     // enqueue time (aging, virtual deadlines)
 	deadline time.Time     // absolute frame deadline; zero for best-effort
 	cost     time.Duration // predicted decode cost (0 = model uncalibrated)
+	pics     int           // pictures the task covers (EDF lag bound)
 	tight    bool          // slack-tight at feed: assist candidate
 }
 
@@ -99,10 +100,7 @@ func (s *Server) pickFairLocked() *task {
 	var best *stream
 	var bestKey float64
 	for _, st := range s.streams {
-		if len(st.pending) == 0 {
-			continue
-		}
-		if st.paused && st.sess.Err() == nil {
+		if !st.runnable() {
 			continue
 		}
 		key := st.served / st.weight

@@ -401,10 +401,12 @@ func (s *Server) releaseSlot(d float64) {
 	s.mu.Unlock()
 }
 
-// register installs an admitted stream (its demand already reserved)
-// and applies the ladder's current rung to it.
+// register installs an admitted stream (its demand already reserved),
+// starts it at the service clock's current value and applies the
+// ladder's current rung to it.
 func (s *Server) register(st *stream) {
 	s.mu.Lock()
+	st.vbase = s.serviceClockLocked()
 	s.streams[st.id] = st
 	if st.deadline > 0 {
 		s.nDeadline++
@@ -412,6 +414,18 @@ func (s *Server) register(st *stream) {
 	applyRung(st, s.rung)
 	s.mu.Unlock()
 	s.admitted.Add(1)
+}
+
+// serviceClockLocked is the service clock's current value: the least
+// serviceKey among admitted, unpaused streams (0 on an idle server).
+func (s *Server) serviceClockLocked() float64 {
+	clock, found := 0.0, false
+	for _, st := range s.streams {
+		if k := st.serviceKey(); !st.paused && (!found || k < clock) {
+			clock, found = k, true
+		}
+	}
+	return clock
 }
 
 // unregister removes a finished stream and recycles its capacity.

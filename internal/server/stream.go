@@ -64,6 +64,7 @@ type stream struct {
 	pending     []*task
 	inFlight    int
 	served      float64 // pictures completed, the fair-dispatch key
+	vbase       float64 // service clock at registration (serviceKey)
 	paused      bool
 	mustServe   bool // resumed but no task completed yet: exempt from re-pause
 	pauseUntil  time.Time
@@ -113,6 +114,21 @@ func (st *stream) fail(err error) {
 	})
 	st.srv.cond.Broadcast()
 }
+
+// runnable reports whether the pool may pick the stream's head task:
+// it has queued work and is not paused — unless it has failed, since a
+// failed stream's queue must still drain for teardown. Call with
+// srv.mu held.
+func (st *stream) runnable() bool {
+	return len(st.pending) > 0 && (!st.paused || st.sess.Err() != nil)
+}
+
+// serviceKey is the stream's position on the service clock EDF's lag
+// bound compares: pictures completed per unit weight, counted on from
+// the clock's value when the stream registered — so a newcomer is
+// measured against its peers' service since its arrival, not their
+// lifetime totals. Call with srv.mu held.
+func (st *stream) serviceKey() float64 { return st.vbase + st.served/st.weight }
 
 func (st *stream) touch() { st.lastProgress.Store(time.Now().UnixNano()) }
 
@@ -399,7 +415,7 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 		st.noteFed(t, now, sp.pred, sp.known)
 		st.touch()
 		st.wgTasks.Add(1)
-		tk := &task{st: st, t: t, enq: now, cost: sp.cost, tight: sp.tight}
+		tk := &task{st: st, t: t, enq: now, cost: sp.cost, pics: t.Pictures(), tight: sp.tight}
 		if st.deadline > 0 {
 			tk.deadline = now.Add(st.deadline)
 		}

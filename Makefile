@@ -1,8 +1,13 @@
 GO ?= go
 
-.PHONY: verify gatecheck vet build test race bench perf fuzz faults stream compat trace sched kernels cross service vldsplit deadline apicheck
+.PHONY: verify gatecheck fmt vet build test race bench perf fuzz faults stream trace sched kernels cross service vldsplit deadline
 
-verify: gatecheck vet build race bench stream compat trace sched kernels cross service vldsplit deadline apicheck ## full CI gate: -run selection check + vet + build + race tests + bench smoke + streaming race + compat shims + traced decode + scheduler gate + kernel matrix + cross-compile + service gate + split-decode gate + deadline gate + deprecated-API grep
+verify: gatecheck fmt vet build race bench stream trace sched kernels cross service vldsplit deadline ## full CI gate: -run selection check + gofmt + vet + build + race tests + bench smoke + streaming race + traced decode + scheduler gate + kernel matrix + cross-compile + service gate + split-decode gate + deadline gate
+
+# Formatting gate: every tracked Go file must be gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+		if [ -n "$$out" ]; then echo "fmt: gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -52,13 +57,6 @@ bench:
 stream:
 	$(GO) test -race ./internal/stream/ .
 
-# Deprecated-wrapper compatibility: vet the shims (deprecation-aware),
-# build a client of the old entry points, and pin old-vs-new agreement.
-compat:
-	$(GO) vet .
-	$(GO) build .
-	$(GO) test -run 'TestDeprecatedCompat|Example' .
-
 # Observability gate: traced decodes under the race detector (bit
 # exactness in every mode, event presence, exported Chrome JSON
 # validated: well-formed, monotonic timestamps, balanced span counts),
@@ -105,13 +103,6 @@ deadline:
 	$(GO) test -race -count=1 -run 'TestCostModelColdStart|TestChooseReasonGatedOnCalibration' ./internal/sched/
 	$(GO) test -race -count=1 -run 'TestAssistIndexedBitExact|TestAssistSpeculativeBitExact|TestAssistPoisonedIndexFallsBack|TestAssistFaultedGolden' ./internal/core/
 	$(GO) test -count=1 -run TestDeadlineExperimentSmoke -v ./internal/bench/
-
-# Deprecated-API grep gate: cmd/ and examples/ must stay on the
-# streaming entry points (Decode/ScanReader); the deprecated wrappers
-# exist for external compatibility only.
-apicheck:
-	@! grep -rn 'mpeg2par\.DecodeAll\|mpeg2par\.DecodeParallel\|mpeg2par\.Scan(' cmd/ examples/ \
-		|| { echo 'apicheck: cmd/ and examples/ must use Decode/ScanReader, not deprecated wrappers' >&2; exit 1; }
 
 # Append a perf-trajectory run to the current BENCH_<n>.json.
 perf:

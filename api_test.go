@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mpeg2par"
+	"mpeg2par/internal/core"
 )
 
 func apiStream(t testing.TB) *mpeg2par.Stream {
@@ -28,7 +29,7 @@ func apiStream(t testing.TB) *mpeg2par.Stream {
 // the sequential baseline bit-exactly in every mode.
 func TestDecodeSourcesMatch(t *testing.T) {
 	res := apiStream(t)
-	want, err := mpeg2par.DecodeAll(res.Data)
+	want, err := decodeAll(res.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestWithWorkersZeroUsesNumCPU(t *testing.T) {
 // TestSequentialStatsWorkers is the regression test for the sequential
 // worker-count gauge: ModeSequential runs on one worker regardless of
 // the requested count, and Stats.Workers must say so — on both the
-// streaming and the batch path.
+// streaming (public Decode) and the batch (core.Decode) path.
 func TestSequentialStatsWorkers(t *testing.T) {
 	res := apiStream(t)
 
@@ -188,8 +189,8 @@ func TestSequentialStatsWorkers(t *testing.T) {
 			st.Workers, len(st.WorkerStats))
 	}
 
-	st, err = mpeg2par.DecodeParallel(res.Data, mpeg2par.Options{
-		Mode: mpeg2par.ModeSequential, Workers: 4,
+	st, err = core.Decode(res.Data, core.Options{
+		Mode: core.ModeSequential, Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,53 +293,11 @@ func TestDecodeCancel(t *testing.T) {
 	}
 }
 
-// TestDeprecatedCompat keeps the deprecated wrappers working and
-// agreeing with their replacements (built by `make compat` alongside
-// go vet's deprecation-aware analysis).
-func TestDeprecatedCompat(t *testing.T) {
-	res := apiStream(t)
-
-	m1, err := mpeg2par.Scan(res.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := mpeg2par.ScanReader(bytes.NewReader(res.Data), 333)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.TotalPictures != m2.TotalPictures || len(m1.GOPs) != len(m2.GOPs) || m1.Bytes != m2.Bytes {
-		t.Fatalf("ScanReader map (%d pics, %d GOPs) differs from Scan (%d pics, %d GOPs)",
-			m2.TotalPictures, len(m2.GOPs), m1.TotalPictures, len(m1.GOPs))
-	}
-
-	frames, err := mpeg2par.DecodeAll(res.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	identical := true
-	st, err := mpeg2par.DecodeParallel(res.Data, mpeg2par.Options{
-		Mode: mpeg2par.ModeGOP, Workers: 2,
-		Sink: func(f *mpeg2par.Frame) {
-			if i < len(frames) && !f.Equal(frames[i]) {
-				identical = false
-			}
-			i++
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Displayed != len(frames) || !identical {
-		t.Fatalf("DecodeParallel displayed %d (identical=%v), want %d", st.Displayed, identical, len(frames))
-	}
-}
-
 // TestWithAutoTune: the auto-tuned decode must match the sequential
 // baseline bit-exactly and report its resolved decision in Stats.Auto.
 func TestWithAutoTune(t *testing.T) {
 	res := apiStream(t)
-	want, err := mpeg2par.DecodeAll(res.Data)
+	want, err := decodeAll(res.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +333,7 @@ func TestWithAutoTune(t *testing.T) {
 // decoded output.
 func TestWithPacking(t *testing.T) {
 	res := apiStream(t)
-	want, err := mpeg2par.DecodeAll(res.Data)
+	want, err := decodeAll(res.Data)
 	if err != nil {
 		t.Fatal(err)
 	}

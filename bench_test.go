@@ -9,6 +9,8 @@
 package mpeg2par_test
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -199,7 +201,7 @@ func BenchmarkSequentialDecode352(b *testing.B) {
 	s := testStream352(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpeg2par.DecodeAll(s.Data); err != nil {
+		if _, err := decodeAll(s.Data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +213,8 @@ func BenchmarkParallelDecode(b *testing.B) {
 	for _, mode := range []mpeg2par.Mode{mpeg2par.ModeGOP, mpeg2par.ModeSliceSimple, mpeg2par.ModeSliceImproved} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mpeg2par.DecodeParallel(s.Data, mpeg2par.Options{Mode: mode, Workers: 4}); err != nil {
+				if _, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(s.Data),
+					mpeg2par.WithMode(mode), mpeg2par.WithWorkers(4)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,7 +227,7 @@ func BenchmarkScan(b *testing.B) {
 	s := testStream352(b)
 	b.SetBytes(int64(len(s.Data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := mpeg2par.Scan(s.Data); err != nil {
+		if _, err := mpeg2par.ScanReader(bytes.NewReader(s.Data), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,41 +29,6 @@ func ExampleGenerateStream() {
 	// GOPs: 1
 }
 
-// ExampleDecodeParallel decodes with the fine-grained parallel decoder
-// and verifies it against the sequential decoder.
-func ExampleDecodeParallel() {
-	stream, err := mpeg2par.GenerateStream(mpeg2par.StreamConfig{
-		Width: 96, Height: 64, Pictures: 8, GOPSize: 4,
-	})
-	if err != nil {
-		panic(err)
-	}
-	want, err := mpeg2par.DecodeAll(stream.Data)
-	if err != nil {
-		panic(err)
-	}
-	identical := true
-	i := 0
-	stats, err := mpeg2par.DecodeParallel(stream.Data, mpeg2par.Options{
-		Mode:    mpeg2par.ModeSliceImproved,
-		Workers: 3,
-		Sink: func(f *mpeg2par.Frame) {
-			if !f.Equal(want[i]) {
-				identical = false
-			}
-			i++
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("pictures:", stats.Pictures)
-	fmt.Println("bit-exact with sequential decode:", identical)
-	// Output:
-	// pictures: 8
-	// bit-exact with sequential decode: true
-}
-
 // ExampleDecode is the streaming quick start: decode from any
 // io.Reader under a context, receiving frames in display order while
 // the stream is still being read.
@@ -98,28 +63,6 @@ func ExampleDecode() {
 	// Output:
 	// frames displayed: 8
 	// in display order: true
-}
-
-// ExampleScan shows the structural index the scan process builds — the
-// foundation of task-parallel decoding.
-func ExampleScan() {
-	stream, err := mpeg2par.GenerateStream(mpeg2par.StreamConfig{
-		Width: 96, Height: 64, Pictures: 8, GOPSize: 4,
-	})
-	if err != nil {
-		panic(err)
-	}
-	m, err := mpeg2par.Scan(stream.Data)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("GOPs:", len(m.GOPs))
-	fmt.Println("pictures:", m.TotalPictures)
-	fmt.Println("slices per picture:", len(m.GOPs[0].Pictures[0].Slices))
-	// Output:
-	// GOPs: 2
-	// pictures: 8
-	// slices per picture: 4
 }
 
 // ExampleSimulateSlices replays measured slice costs under many simulated

@@ -33,7 +33,7 @@ import (
 // Work and split stats from every segment are summed; the returned
 // error is only ever the fallback's, matching decodeSliceRange's
 // contract at the call site.
-func runSegmentsAssist(seq *mpeg2.SequenceHeader, p *picState, j *splitJoin, refs decoder.Refs, dst *frame.Frame, wi int, opt Options, scr *sliceScratch, sst *SplitStats, parts int) (decoder.WorkStats, []int, error) {
+func runSegmentsAssist(seq *mpeg2.SequenceHeader, p *picState, j *splitJoin, refs decoder.Refs, dst *frame.Frame, wi int, opt Options, scr *Scratch, sst *SplitStats, parts int) (decoder.WorkStats, []int, error) {
 	nSeg := len(j.res)
 	type segOut struct {
 		work  decoder.WorkStats
@@ -43,7 +43,7 @@ func runSegmentsAssist(seq *mpeg2.SequenceHeader, p *picState, j *splitJoin, ref
 		sst   SplitStats
 	}
 	outs := make([]segOut, nSeg)
-	run := func(seg, lane int, s *sliceScratch, o *segOut) {
+	run := func(seg, lane int, s *Scratch, o *segOut) {
 		t0 := time.Now()
 		w, addrs, err := runSegment(seq, &p.hdr, &p.params, p.data, refs, dst, j, seg, lane, opt, opt.Tracer, s, &o.sst)
 		o.work, o.addrs, o.err = w, addrs, err
@@ -63,7 +63,7 @@ func runSegmentsAssist(seq *mpeg2.SequenceHeader, p *picState, j *splitJoin, ref
 		go func(seg int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var s sliceScratch
+			var s Scratch
 			run(seg, wi, &s, &outs[seg])
 		}(seg)
 	}

@@ -329,9 +329,9 @@ func DecodeScanned(data []byte, m *StreamMap, opt Options) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.st.Auto = auto
-	e.st.ScanTime = m.ScanTime
-	e.st.ScanRate = m.ScanRate()
+	e.s.st.Auto = auto
+	e.s.st.ScanTime = m.ScanTime
+	e.s.st.ScanRate = m.ScanRate()
 	st, err := e.runBatch(data, m)
 	if err != nil {
 		return nil, err

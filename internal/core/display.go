@@ -133,15 +133,19 @@ type firstErr struct {
 	err error
 }
 
-func (e *firstErr) set(err error) {
+// set latches err unless an error is already latched, reporting whether
+// this call latched it.
+func (e *firstErr) set(err error) bool {
 	if err == nil {
-		return
+		return false
 	}
 	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
+	defer e.mu.Unlock()
+	if e.err != nil {
+		return false
 	}
-	e.mu.Unlock()
+	e.err = err
+	return true
 }
 
 func (e *firstErr) get() error {

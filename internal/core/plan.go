@@ -21,13 +21,6 @@ const (
 	fateSubstitute
 )
 
-// planGOP is one group of pictures kept by the plan.
-type planGOP struct {
-	g     int // index into StreamMap.GOPs
-	first int // plan index of the GOP's first picture
-	n     int
-}
-
 // plan is the resolved decode schedule of a run. Every policy
 // decision — which pictures decode, which are substituted from what,
 // which GOPs are dropped, and which display slot each output occupies —
@@ -37,7 +30,6 @@ type planGOP struct {
 // execution order.
 type plan struct {
 	pics []*picState
-	gops []planGOP
 	// pre holds the plan-time error accounting (dropped pictures and
 	// GOPs); slice-level damage is discovered during execution.
 	pre ErrorStats
@@ -325,7 +317,6 @@ func (b *planBuilder) addGOP(data []byte, g int, gop *GOPRange) ([]*picState, er
 			b.lastRef = idx
 		}
 	}
-	pl.gops = append(pl.gops, planGOP{g: g, first: first, n: n})
 	b.displayBase += n
 	return pl.pics[first:], nil
 }

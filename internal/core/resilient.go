@@ -20,48 +20,6 @@ func newPlanFrame(pool *frame.Pool, p *picState) {
 	p.frame = f
 }
 
-// gopTask is one coarse-grained task: decode every picture of a planned
-// group on one worker. pics is a plan-prefix snapshot long enough to
-// cover the group's pictures and everything they reference; the plan's
-// per-GOP reference reset makes the task self-contained.
-type gopTask struct {
-	pics  []*picState
-	first int // plan index of the group's first picture
-	n     int
-	g     int   // group index in stream order
-	off   int   // absolute stream offset, for error messages
-	bytes int64 // compressed size: packing key and cost-model input
-	// unit, on the streaming path, is the in-flight buffer the group
-	// decodes from (nil on a batch decode and in a service session).
-	unit *unitState
-}
-
-// decode is the GOP-grain picture loop shared by the plan executor and
-// the service's sessions: each picture of the group in decode order gets
-// its frame, is decoded (with assist-way intra-slice fan-out when assist
-// > 1) or substituted, releases the frames it held, and goes to the
-// display process. Work, damage and split activity accumulate into the
-// caller's counters, also on failure.
-func (t *gopTask) decode(seq *mpeg2.SequenceHeader, pool *frame.Pool, disp *displayProc, wi int, opt Options, assist int, scr *sliceScratch, work *decoder.WorkStats, es *ErrorStats, sst *SplitStats) error {
-	for idx := t.first; idx < t.first+t.n; idx++ {
-		p := t.pics[idx]
-		newPlanFrame(pool, p)
-		w, pes, err := decodePlanPic(seq, t.pics, idx, wi, opt, scr, assist, sst)
-		work.Add(w)
-		es.Add(pes)
-		if err != nil {
-			return fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, err)
-		}
-		for _, ri := range p.holds {
-			if t.pics[ri].frame.Release() {
-				pool.Put(t.pics[ri].frame)
-			}
-		}
-		disp.push(p.frame, p.displayIdx)
-	}
-	return nil
-}
-
 // substitutePic fills a substituted picture's frame with a copy of its
 // substitution source, mid-grey when it has none.
 func substitutePic(pics []*picState, p *picState) {
@@ -83,7 +41,7 @@ func substitutePic(pics []*picState, p *picState) {
 // decoded by up to assist goroutines through the verify-or-fallback
 // chain; coverage, damage accounting and concealment are identical
 // either way, so output never depends on assist.
-func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt Options, scr *sliceScratch, assist int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
+func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt Options, scr *Scratch, assist int, sst *SplitStats) (decoder.WorkStats, ErrorStats, error) {
 	p := pics[idx]
 	f := p.frame
 	var work decoder.WorkStats
@@ -156,7 +114,7 @@ func decodePlanPic(seq *mpeg2.SequenceHeader, pics []*picState, idx, wi int, opt
 // split activity into sst; reconstructed macroblock addresses are
 // appended to taskAddrs. A non-nil error is only possible under
 // FailFast.
-func runPlanSliceTask(seq *mpeg2.SequenceHeader, pics []*picState, p *picState, ti, wi int, opt Options, scr *sliceScratch, work *decoder.WorkStats, es *ErrorStats, sst *SplitStats, taskAddrs *[]int) error {
+func runPlanSliceTask(seq *mpeg2.SequenceHeader, pics []*picState, p *picState, ti, wi int, opt Options, scr *Scratch, work *decoder.WorkStats, es *ErrorStats, sst *SplitStats, taskAddrs *[]int) error {
 	if p.fate == fateSubstitute {
 		substitutePic(pics, p)
 		return nil

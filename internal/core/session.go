@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,48 +16,61 @@ import (
 	"mpeg2par/internal/obs"
 )
 
-// Session is one stream's decode state inside a multi-stream service:
-// the same scan→plan→decode→display pipeline as StreamExecutor, except
-// the session owns no workers. The service's scan goroutine Feeds it
-// scanned groups of pictures and receives back coarse-grained tasks;
-// the service's *shared* worker pool executes them through Run. That
-// inversion — tasks pulled by external workers instead of pushed to
-// per-decode goroutines — is what lets N streams multiplex onto one
-// pool.
+// Session is one stream's decode pipeline — the paper's scan→plan→
+// decode→display chain minus the workers. It owns the plan builder, the
+// frame pool and display process, the first-error latch and the
+// in-flight window. Whoever drives it Feeds scanned groups of pictures
+// and receives back GOP-grain tasks; pool workers execute them through
+// Run. The multi-stream service multiplexes the tasks of N sessions onto
+// one *shared* pool; a StreamExecutor is one session plus a private pool.
 //
-// Concurrency contract: Feed and Finish are called from a single
-// goroutine (the stream's feeder); Run may be called concurrently from
-// any number of pool workers, one call per task; SetShed and
-// SetDegraded may be called from any goroutine and apply to units
-// planned after the call. Tasks of one session may run concurrently
-// and in any order — each task is one group of pictures, and the
-// plan's per-GOP reference reset makes groups independent.
+// Concurrency contract: Feed, Acquire and Finish are called from a
+// single goroutine (the stream's feeder); Run and Release may be called
+// concurrently from any number of pool workers, one Run per task;
+// SetShed, SetDegraded and Abort may be called from any goroutine, and
+// shedding and degradation apply to units planned after the call. Tasks
+// of one session may run concurrently and in any order — each task is
+// one group of pictures, and the plan's per-GOP reference reset makes
+// groups independent.
 type Session struct {
-	opt  Options
-	lane int // obs lane for this stream's display + service events
+	opt   Options
+	lane  int  // obs lane for this stream's display + service events
+	scrub bool // scrub recycled frame buffers (see newSession)
 
-	seq     mpeg2.SequenceHeader
-	pb      *planBuilder
-	pool    *frame.Pool
-	disp    *displayProc
-	st      *Stats
-	started bool
-
+	seq       mpeg2.SequenceHeader
+	pb        *planBuilder
+	pool      *frame.Pool
+	disp      *displayProc
+	st        *Stats
+	started   bool
 	wallStart time.Time
+
+	// window is the in-flight window: one slot per planned group queued
+	// or decoding (Options.MaxInFlight). Acquire blocks on a full
+	// window — the backpressure that bounds buffered bitstream bytes by
+	// the window, never by stream length.
+	window chan struct{}
 
 	shed     atomic.Int32 // ShedLevel for subsequently planned units
 	degraded atomic.Bool  // resilience floor for subsequently planned units
 
 	errs   firstErr
+	failed chan struct{} // closed when errs latches
 	workMu sync.Mutex
 }
 
 // SessionTask is one schedulable unit of a session: decode (or
-// substitute) every picture of one planned group. The service's pool
-// workers execute it via Session.Run.
+// substitute) every picture of one planned group on one worker. pics is
+// a plan-prefix snapshot long enough to cover the group's pictures and
+// everything they reference; the plan's per-GOP reference reset makes
+// the task self-contained. Pool workers execute it via Session.Run.
 type SessionTask struct {
-	s *Session
-	gopTask
+	pics  []*picState
+	first int   // plan index of the group's first picture
+	n     int   // pictures in the group
+	g     int   // group index in stream order
+	off   int   // absolute stream offset, for error messages
+	bytes int64 // compressed size: packing key and cost-model input
 
 	displayBase int   // first display index the group occupies
 	shed        int   // pictures of this group substituted by shedding
@@ -74,6 +88,10 @@ type SessionTask struct {
 	// degraded). Run decodes under it so execution-time damage handling
 	// matches the plan's promises.
 	policy Resilience
+
+	// unit, on the streaming executor, is the in-flight buffer the
+	// group decodes from (nil on a batch decode and in the service).
+	unit *unitState
 }
 
 // GOP returns the task's group index in stream order.
@@ -113,21 +131,34 @@ func (t *SessionTask) SetAssist(n int) { t.assist = n }
 // Assist returns the granted fan-out width (0 or 1 means none).
 func (t *SessionTask) Assist() int { return t.assist }
 
-// NewSession prepares a session. opt.Workers is the shared pool size
-// (reported in Stats); opt.Resilience is the stream's requested policy
-// — the degradation ladder may raise its effective value per unit via
-// SetDegraded. opt.Mode is ignored: a service session always executes
-// at GOP grain (the paper's continuous-playback recommendation), and
-// Stats.Mode reports ModeGOP.
+// NewSession prepares a service session. opt.Workers is the shared pool
+// size (reported in Stats); opt.MaxInFlight sizes the in-flight window;
+// opt.Resilience is the stream's requested policy — the degradation
+// ladder may raise its effective value per unit via SetDegraded.
+// opt.Mode is ignored: a service session always executes at GOP grain
+// (the paper's continuous-playback recommendation), and Stats.Mode
+// reports ModeGOP. The frame pool always scrubs: shed substitutions ship
+// synthesized content even on clean streams, and recycled buffers must
+// never leak stale pixels.
 func NewSession(opt Options) (*Session, error) {
+	opt.Mode = ModeGOP
+	return newSession(opt, true)
+}
+
+// newSession validates opt and prepares a session whose frame pool
+// scrubs recycled buffers iff scrub — the one rule its front ends
+// differ in.
+func newSession(opt Options, scrub bool) (*Session, error) {
 	if err := checkOptions(opt); err != nil {
 		return nil, err
 	}
-	opt.Mode = ModeGOP
 	return &Session{
-		opt:  opt,
-		lane: obs.LaneDisplay,
-		st:   &Stats{Mode: ModeGOP, Workers: opt.Workers, Kernels: kernels.Describe()},
+		opt:    opt,
+		lane:   obs.LaneDisplay,
+		scrub:  scrub,
+		window: make(chan struct{}, opt.EffectiveMaxInFlight()),
+		failed: make(chan struct{}),
+		st:     &Stats{Mode: opt.Mode, Workers: opt.EffectiveWorkers(), Kernels: kernels.Describe()},
 	}, nil
 }
 
@@ -152,12 +183,42 @@ func (s *Session) ShedLevel() ShedLevel { return ShedLevel(s.shed.Load()) }
 func (s *Session) SetDegraded(on bool) { s.degraded.Store(on) }
 
 // Abort latches err (if non-nil) as the session's failure: queued tasks
-// become no-ops and Finish tears the pipeline down. Safe from any
-// goroutine.
-func (s *Session) Abort(err error) { s.errs.set(err) }
+// become no-ops, a feeder blocked in Acquire wakes with the error, and
+// Finish tears the pipeline down. Safe from any goroutine.
+func (s *Session) Abort(err error) {
+	if s.errs.set(err) {
+		close(s.failed)
+	}
+}
 
 // Err returns the first latched failure, nil while healthy.
 func (s *Session) Err() error { return s.errs.get() }
+
+// Failed returns a channel closed when the session's first failure
+// latches, for feeders that wait on something besides the window.
+func (s *Session) Failed() <-chan struct{} { return s.failed }
+
+// Acquire takes one in-flight window slot for the next unit, blocking
+// while the window is full. It returns ctx's error on cancellation, or
+// the latched failure once the session has failed — a task failing
+// while the feeder waits on slots it will never free wakes the feeder.
+func (s *Session) Acquire(ctx context.Context) error {
+	if err := s.errs.get(); err != nil {
+		return err
+	}
+	select {
+	case s.window <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.failed:
+		return s.errs.get()
+	}
+}
+
+// Release frees a window slot taken by Acquire: the unit completed, or
+// planned nothing to run.
+func (s *Session) Release() { <-s.window }
 
 // Displayed returns how many pictures have been delivered so far (the
 // service's watchdog samples it as the progress gauge).
@@ -176,24 +237,26 @@ func (s *Session) Planned() int {
 	return len(s.pb.pl.pics)
 }
 
-func (s *Session) start(u *Unit) {
+// start builds the pipeline for the stream's geometry: the plan builder
+// (with intra-slice splitting armed for slice-grain modes), the frame
+// pool and the display process.
+func (s *Session) start(seq *mpeg2.SequenceHeader) {
 	s.started = true
 	s.wallStart = time.Now()
-	s.seq = u.Seq
+	s.seq = *seq
 	s.pb = newPlanBuilder(&s.seq, s.opt.Resilience, s.opt.Packing, s.opt.PackSeed)
+	s.pb.setSplit(s.opt)
 	s.pool = frame.NewPool(s.seq.Width, s.seq.Height)
-	// Scrub always: shed substitutions ship synthesized content even on
-	// clean streams, and recycled buffers must never leak stale pixels.
-	s.pool.SetScrub(true)
+	s.pool.SetScrub(s.scrub)
 	s.disp = newDisplay(s.pool, s.opt.Sink, s.opt.Obs)
 	s.disp.lane = s.lane
 }
 
 // Feed plans one scanned group of pictures under the session's current
-// shed level and resilience floor, and returns the task the shared pool
-// should execute — nil (with nil error) when the group planned empty
-// (no pictures, or dropped whole by the policy). Feed never blocks; the
-// service's per-stream token gate provides the backpressure.
+// shed level and resilience floor, and returns its task — nil (with nil
+// error) when the group planned empty (no pictures, or dropped whole by
+// the policy). Feed never blocks; the feeder takes a window slot with
+// Acquire first.
 func (s *Session) Feed(u Unit) (*SessionTask, error) {
 	return s.FeedShed(u, ShedNone)
 }
@@ -208,7 +271,7 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 		return nil, err
 	}
 	if !s.started {
-		s.start(&u)
+		s.start(&u.Seq)
 	}
 	lvl := ShedLevel(s.shed.Load())
 	if floor > lvl {
@@ -225,7 +288,7 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	displayBase := s.pb.displayBase
 	ps, err := s.pb.addGOP(u.Data, u.G, &u.Range)
 	if err != nil {
-		s.errs.set(err)
+		s.Abort(err)
 		return nil, err
 	}
 	shedNow := s.pb.pl.shed.Total() - preShed.Total()
@@ -246,15 +309,12 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	}
 	end := first + len(ps)
 	return &SessionTask{
-		s: s,
-		gopTask: gopTask{
-			pics:  s.pb.pl.pics[:end:end],
-			first: first,
-			n:     len(ps),
-			g:     u.G,
-			off:   u.Base + u.Range.Offset,
-			bytes: int64(len(u.Data)),
-		},
+		pics:        s.pb.pl.pics[:end:end],
+		first:       first,
+		n:           len(ps),
+		g:           u.G,
+		off:         u.Base + u.Range.Offset,
+		bytes:       int64(u.Range.End - u.Range.Offset),
 		displayBase: displayBase,
 		shed:        shedNow,
 		shedIdx:     shedIdx,
@@ -262,59 +322,77 @@ func (s *Session) FeedShed(u Unit, floor ShedLevel) (*SessionTask, error) {
 	}, nil
 }
 
-// Run executes one task on pool worker wi: decode or substitute every
-// picture of the group, releasing reference holds and pushing each
-// completed frame to the display process (which drains in display order
-// into the sink). If the session has already failed, Run returns the
-// latched error without decoding — the drain path that keeps teardown
-// prompt. A decode error is latched and returned.
-func (s *Session) Run(t *SessionTask, wi int) error {
+// Run executes one task on pool worker wi with the worker's scratch:
+// each picture of the group in decode order gets its frame, is decoded
+// (with assist-way intra-slice fan-out when granted) or substituted,
+// releases the frames it held, and goes to the display process (which
+// drains in display order into the sink). If the session has already
+// failed, Run returns the latched error without decoding — the drain
+// path that keeps teardown prompt. A decode error is latched and
+// returned.
+func (s *Session) Run(t *SessionTask, wi int, scr *Scratch) error {
 	if err := s.errs.get(); err != nil {
 		return err
 	}
 	t1 := time.Now()
-	reg := rtrace.StartRegion(context.Background(), "mpeg2par.sessionTask")
-	defer reg.End()
+	reg := rtrace.StartRegion(context.Background(), "mpeg2par.gopTask")
 	var work decoder.WorkStats
 	var es ErrorStats
 	var split SplitStats
-	var scr sliceScratch
 	opt := s.opt
 	opt.Resilience = t.policy
 	assist := 0
 	if opt.SplitIndex != nil || opt.SpeculativeSplit {
 		assist = t.assist
 	}
-	err := t.decode(&s.seq, s.pool, s.disp, wi, opt, assist, &scr, &work, &es, &split)
-	s.errs.set(err)
-	s.noteTask(t, wi, t1, work, es, split)
-	if err == nil {
-		s.opt.Cost.Observe(t.bytes, time.Since(t1))
+	var err error
+	for idx := t.first; idx < t.first+t.n; idx++ {
+		p := t.pics[idx]
+		newPlanFrame(s.pool, p)
+		w, pes, perr := decodePlanPic(&s.seq, t.pics, idx, wi, opt, scr, assist, &split)
+		work.Add(w)
+		es.Add(pes)
+		if perr != nil {
+			err = fmt.Errorf("core: GOP %d at byte %d: %w", t.g, t.off, perr)
+			break
+		}
+		for _, ri := range p.holds {
+			if t.pics[ri].frame.Release() {
+				s.pool.Put(t.pics[ri].frame)
+			}
+		}
+		s.disp.push(p.frame, p.displayIdx)
 	}
-	return err
-}
-
-func (s *Session) noteTask(t *SessionTask, wi int, t1 time.Time, work decoder.WorkStats, es ErrorStats, split SplitStats) {
+	reg.End()
 	cost := time.Since(t1)
 	s.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
+	if err != nil {
+		s.Abort(err)
+	} else {
+		s.opt.Cost.Observe(t.bytes, cost)
+	}
 	s.workMu.Lock()
 	s.st.Work.Add(work)
 	s.st.Errors.Add(es)
 	s.st.Split.Add(split)
+	if s.opt.Profile {
+		s.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: work}
+	}
 	s.workMu.Unlock()
+	return err
 }
 
 // Finish completes the session once every issued task has returned from
-// Run (the service drains its pool first — Finish does not join
-// workers). cause is the stream-side verdict: nil on a clean end of
-// stream, the context's error on cancellation. Any failure — cause or a
-// latched decode error — switches Finish into teardown: the reorder
-// buffer is abandoned and every planned frame forcibly reclaimed, so a
-// cancelled stream holds no picture memory. Stats are returned in both
-// cases; LeakedFrameBytes reports pool bytes still unaccounted (always
-// zero — the teardown tests assert it).
+// Run (the caller joins or drains its workers first — Finish does not).
+// cause is the stream-side verdict: nil on a clean end of stream, the
+// context's error on cancellation. Any failure — cause or a latched
+// decode error — switches Finish into teardown: the reorder buffer is
+// abandoned and every planned frame forcibly reclaimed, so a cancelled
+// stream holds no picture memory. Stats are returned in both cases;
+// LeakedFrameBytes reports pool bytes still unaccounted (always zero —
+// the teardown tests assert it).
 func (s *Session) Finish(cause error) (*Stats, error) {
-	s.errs.set(cause)
+	s.Abort(cause)
 	st := s.st
 	err := s.errs.get()
 	if !s.started {

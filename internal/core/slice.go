@@ -314,10 +314,11 @@ func concealMBs(pics []*picState, p *picState, addrs []int) {
 	}
 }
 
-// sliceScratch is one worker's reusable decode state: a bit reader, a
+// Scratch is one worker's reusable decode state: a bit reader, a
 // macroblock buffer and a coverage address list, recycled across every
 // slice the worker decodes so the steady-state loop is allocation-free.
-type sliceScratch struct {
+// Each pool worker owns one and passes it to every Session.Run call.
+type Scratch struct {
 	r     bits.Reader
 	mbs   []mpeg2.MB
 	addrs []int
@@ -343,7 +344,7 @@ func picRefs(pics []*picState, p *picState) decoder.Refs {
 // corrupted slice can also never write pixels another concurrently
 // decoding slice owns. The returned addresses alias scr.addrs and are
 // valid until the next call with the same scr.
-func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, sr SliceRange, maxAddr int, refs decoder.Refs, dst *frame.Frame, wi int, tr memtrace.Tracer, scr *sliceScratch) (decoder.WorkStats, []int, error) {
+func decodeSliceRange(data []byte, seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, sr SliceRange, maxAddr int, refs decoder.Refs, dst *frame.Frame, wi int, tr memtrace.Tracer, scr *Scratch) (decoder.WorkStats, []int, error) {
 	scr.r.Reset(data[:sr.End])
 	scr.r.SeekBit(int64(sr.Offset) * 8)
 	code, err := scr.r.ReadStartCode()

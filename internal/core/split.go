@@ -264,7 +264,7 @@ func buildSplitTasks(p *picState, data []byte, opt Options, seed int64, scratch 
 // result is authoritative for pixels and errors, so segment attempts
 // never leak into output. Returned addrs alias scr.addrs (join calls
 // only); the returned error is only ever the fallback's.
-func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, opt Options, tr memtrace.Tracer, scr *sliceScratch, sst *SplitStats) (decoder.WorkStats, []int, error) {
+func runSegment(seq *mpeg2.SequenceHeader, hdr *mpeg2.PictureHeader, params *mpeg2.PictureParams, data []byte, refs decoder.Refs, dst *frame.Frame, j *splitJoin, seg, wi int, opt Options, tr memtrace.Tracer, scr *Scratch, sst *SplitStats) (decoder.WorkStats, []int, error) {
 	sst.SegmentsRun++
 	sr := j.sr
 	nSeg := len(j.res)

@@ -10,8 +10,6 @@ import (
 	rtrace "runtime/trace"
 
 	"mpeg2par/internal/decoder"
-	"mpeg2par/internal/frame"
-	"mpeg2par/internal/kernels"
 	"mpeg2par/internal/mpeg2"
 	"mpeg2par/internal/obs"
 	"mpeg2par/internal/sched"
@@ -54,8 +52,8 @@ func (u *Unit) ShedSavings(l ShedLevel) int64 {
 }
 
 // unitState tracks one in-flight unit: its buffered bytes stay charged
-// against the pipeline gauge, and its scan-ahead window slot stays
-// occupied, until the last picture decoded from it completes.
+// against the pipeline gauge, and its window slot stays occupied,
+// until the last picture decoded from it completes.
 type unitState struct {
 	exec      *StreamExecutor
 	bytes     int64
@@ -73,15 +71,18 @@ func (u *unitState) retire() {
 	e.mu.Lock()
 	e.unitBytes -= u.bytes
 	e.mu.Unlock()
-	<-e.sem
+	e.s.Release()
 }
 
-// StreamExecutor is the plan executor: one pool of GOP-grain or
-// slice-grain workers that decodes a plan, and the display process that
-// delivers frames in display order as soon as they are ready. On the
+// StreamExecutor is a Session plus a private worker pool: GOP-grain
+// workers calling the same Session.Run the service's shared pool calls,
+// or slice-grain workers over the plan's 2-D picture/slice queue. On the
 // streaming path the scanner Feeds it groups of pictures as they are
 // discovered, long before the stream has been fully read; a batch
-// decode (DecodeScanned) hands it the whole plan at once.
+// decode (DecodeScanned) plans the whole stream through the session and
+// hands the plan over at once. Beyond the session it holds only what a
+// private pool needs: the ModeAuto tuner and gate, the in-flight byte
+// gauges, and Profile.
 //
 // Feed and Finish must be called from a single goroutine (the scan
 // process); the workers it starts are internal. A streaming decode is
@@ -89,25 +90,10 @@ func (u *unitState) retire() {
 // execute plans grown by the same planBuilder over the same scan.
 type StreamExecutor struct {
 	ctx context.Context
-	opt Options
-	st  *Stats
+	s   *Session
 
-	workers int
-	// sem is the scan-ahead window: one slot per in-flight unit. Feed
-	// blocks acquiring a slot — the backpressure that bounds buffered
-	// bitstream bytes by the window, never by stream length.
-	sem chan struct{}
-
-	seq       mpeg2.SequenceHeader
-	pb        *planBuilder // streaming intake; nil on a batch decode
-	pl        *plan        // the plan being executed
-	pool      *frame.Pool
-	disp      *displayProc
-	started   bool
-	wallStart time.Time
-
-	gopTasks chan gopTask // ModeGOP / ModeSequential intake
-	q        *sliceQueue  // slice-mode intake
+	gopTasks chan *SessionTask // ModeGOP / ModeSequential intake
+	q        *sliceQueue       // slice-mode intake
 
 	// Online auto-tuning (ModeAuto only). The tuner collects busy/wait
 	// from the workers; Feed re-evaluates it at every GOP boundary and
@@ -121,23 +107,7 @@ type StreamExecutor struct {
 	peakBytes int64
 	leadPeak  int
 
-	errs     firstErr
-	fail     chan struct{} // closed when the first error latches
-	failOnce sync.Once
-	workMu   sync.Mutex
-	wg       sync.WaitGroup
-}
-
-// setErr latches the first error and wakes a Feed blocked on the
-// window semaphore — without it, a worker failing with units still in
-// flight would leave the scan process waiting on slots that will never
-// free.
-func (e *StreamExecutor) setErr(err error) {
-	if err == nil {
-		return
-	}
-	e.errs.set(err)
-	e.failOnce.Do(func() { close(e.fail) })
+	wg sync.WaitGroup
 }
 
 // NewStreamExecutor prepares a streaming executor. Workers start lazily
@@ -153,8 +123,11 @@ func NewStreamExecutor(ctx context.Context, opt Options) (*StreamExecutor, error
 }
 
 // newExecutor validates opt and prepares an executor for either intake.
+// Its session scrubs recycled frames iff the policy is not FailFast:
+// only concealment and substitution ship pixels no slice wrote.
 func newExecutor(ctx context.Context, opt Options) (*StreamExecutor, error) {
-	if err := checkOptions(opt); err != nil {
+	s, err := newSession(opt, opt.Resilience != FailFast)
+	if err != nil {
 		return nil, err
 	}
 	switch opt.Mode {
@@ -165,169 +138,146 @@ func newExecutor(ctx context.Context, opt Options) (*StreamExecutor, error) {
 	default:
 		return nil, badOption("Mode=%d (unknown mode)", int(opt.Mode))
 	}
-	w := opt.EffectiveWorkers()
-	return &StreamExecutor{
-		ctx:     ctx,
-		opt:     opt,
-		workers: w,
-		sem:     make(chan struct{}, opt.EffectiveMaxInFlight()),
-		fail:    make(chan struct{}),
-		st:      &Stats{Mode: opt.Mode, Workers: w, Kernels: kernels.Describe()},
-	}, nil
+	return &StreamExecutor{ctx: ctx, s: s}, nil
 }
 
-// start spins up the pool and the display process over the plan being
-// executed. gopCap sizes the GOP-task queue: the scan-ahead window on
-// the streaming path (each queued task holds a window slot, so a send
-// never blocks), the planned group count on a batch decode.
-func (e *StreamExecutor) start(pl *plan, gopCap int) {
-	e.started = true
-	e.wallStart = time.Now()
-	e.pl = pl
-	e.pool = frame.NewPool(e.seq.Width, e.seq.Height)
-	if e.opt.Resilience != FailFast {
-		e.pool.SetScrub(true)
-	}
-	e.disp = newDisplay(e.pool, e.opt.Sink, e.opt.Obs)
-	e.st.WorkerStats = make([]WorkerStats, e.workers)
-	e.opt.Obs.SetMeta(e.opt.Mode.String(), e.workers)
-	if e.opt.Mode.sliceGrain() {
+// start spins up the private pool over the session's plan. gopCap sizes
+// the GOP-task queue: the in-flight window on the streaming path (each
+// queued task holds a window slot, so a send never blocks), the planned
+// group count on a batch decode. The run's wall clock starts here, so a
+// batch decode's up-front planning is excluded, like its scan.
+func (e *StreamExecutor) start(gopCap int) {
+	s := e.s
+	s.wallStart = time.Now()
+	workers := s.opt.EffectiveWorkers()
+	s.st.WorkerStats = make([]WorkerStats, workers)
+	s.opt.Obs.SetMeta(s.opt.Mode.String(), workers)
+	if s.opt.Mode.sliceGrain() {
 		e.q = &sliceQueue{
-			improved: e.opt.Mode == ModeSliceImproved,
-			pool:     e.pool,
-			depth:    e.opt.Workers + 4,
-			obs:      e.opt.Obs,
-			workers:  e.opt.Workers,
-			affinity: e.opt.Affinity,
+			improved: s.opt.Mode == ModeSliceImproved,
+			pool:     s.pool,
+			depth:    s.opt.Workers + 4,
+			obs:      s.opt.Obs,
+			workers:  s.opt.Workers,
+			affinity: s.opt.Affinity,
 		}
 		e.q.cond = sync.NewCond(&e.q.mu)
-		for wi := 0; wi < e.workers; wi++ {
+		for wi := 0; wi < workers; wi++ {
 			e.wg.Add(1)
 			go e.sliceWorker(wi)
 		}
 		return
 	}
-	e.gopTasks = make(chan gopTask, gopCap)
-	for wi := 0; wi < e.workers; wi++ {
+	e.gopTasks = make(chan *SessionTask, gopCap)
+	for wi := 0; wi < workers; wi++ {
 		e.wg.Add(1)
 		go e.gopWorker(wi)
 	}
 }
 
-// startStream starts the streaming intake once the first unit has
-// arrived. For ModeAuto the first group's geometry, projected across
-// the scan-ahead window, resolves the mode and worker count here; the
-// mode is fixed for the rest of the stream (only the worker limit
-// adapts online).
-func (e *StreamExecutor) startStream(u *Unit) {
-	e.seq = u.Seq
-	if e.opt.Mode == ModeAuto {
-		e.resolveAuto(u)
-	}
-	e.pb = newPlanBuilder(&e.seq, e.opt.Resilience, e.opt.Packing, e.opt.PackSeed)
-	e.pb.setSplit(e.opt)
-	e.start(&e.pb.pl, cap(e.sem))
-}
-
-// runBatch executes a whole scanned stream: buildPlan plans it up
-// front, and the plan reaches the same workers, display process and
-// teardown as the streaming intake in one call — GOP tasks queued in
-// packed order (stream order for the sequential baseline), or every
-// picture appended to the slice queue, which Finish then closes. A
-// batch decode holds no scan-ahead window, so the window and unit
-// gauges stay zero.
+// runBatch executes a whole scanned stream: every scanned group is
+// planned through the session up front, and the plan reaches the same
+// workers, display process and teardown as the streaming intake in one
+// call — GOP tasks queued in packed order (stream order for the
+// sequential baseline), or every picture appended to the slice queue,
+// which Finish then closes. A batch decode holds no window slots, so
+// the window and unit gauges stay zero.
 func (e *StreamExecutor) runBatch(data []byte, m *StreamMap) (*Stats, error) {
-	e.seq = m.Seq
-	pl, err := buildPlan(data, m, e.opt)
-	if err != nil {
-		return nil, err
+	s := e.s
+	s.start(&m.Seq)
+	var tasks []*SessionTask
+	for g := range m.GOPs {
+		t, err := s.Feed(Unit{G: g, Data: data, Range: m.GOPs[g]})
+		if err != nil {
+			return nil, err
+		}
+		if t != nil {
+			tasks = append(tasks, t)
+		}
 	}
-	if e.opt.Profile && e.opt.Mode.sliceGrain() {
-		e.st.SliceProf = make([]PicProfile, len(pl.pics))
-		for i, p := range pl.pics {
-			e.st.SliceProf[i] = PicProfile{
+	pics := s.pb.pl.pics
+	if s.opt.Profile && s.opt.Mode.sliceGrain() {
+		s.st.SliceProf = make([]PicProfile, len(pics))
+		for i, p := range pics {
+			s.st.SliceProf[i] = PicProfile{
 				Ref:        p.isRef,
 				Type:       "?IPB"[int(p.hdr.Type)],
 				SliceCosts: make([]time.Duration, p.nTasks),
 				DisplayIdx: p.displayIdx,
 			}
 		}
-	} else if e.opt.Profile {
-		e.st.GOPCosts = make([]TaskCost, len(m.GOPs))
+	} else if s.opt.Profile {
+		s.st.GOPCosts = make([]TaskCost, len(m.GOPs))
 	}
-	e.start(pl, len(pl.gops))
+	e.start(len(tasks))
 	if e.q != nil {
-		e.q.append(pl.pics)
+		e.q.append(pics)
 		return e.Finish(nil)
 	}
-	costs := make([]int64, len(pl.gops))
-	for i, pg := range pl.gops {
-		costs[i] = int64(m.GOPs[pg.g].End - m.GOPs[pg.g].Offset)
+	costs := make([]int64, len(tasks))
+	for i, t := range tasks {
+		costs[i] = t.bytes
 	}
 	var order []int
-	if e.opt.Mode != ModeSequential {
-		order = packOrder(costs, e.opt.Packing, e.opt.PackSeed)
+	if s.opt.Mode != ModeSequential {
+		order = packOrder(costs, s.opt.Packing, s.opt.PackSeed)
 	}
-	for i := range pl.gops {
+	for i := range tasks {
 		if order != nil {
 			i = order[i]
 		}
-		pg := pl.gops[i]
-		e.gopTasks <- gopTask{
-			pics: pl.pics, first: pg.first, n: pg.n, g: pg.g,
-			off: m.GOPs[pg.g].Offset, bytes: costs[i],
-		}
+		e.gopTasks <- tasks[i]
 	}
 	return e.Finish(nil)
 }
 
 // resolveAuto picks the mode and worker count for an auto-tuned
 // pipeline from the first group's geometry, projected across the
-// scan-ahead window (a single group in isolation would always look
+// in-flight window (a single group in isolation would always look
 // like a slice-grain workload). The chosen worker count becomes the
-// online tuner's ceiling; the gate parks workers it tunes away.
+// online tuner's ceiling; the gate parks workers it tunes away. The
+// mode is fixed for the rest of the stream (only the worker limit
+// adapts online).
 func (e *StreamExecutor) resolveAuto(u *Unit) {
-	g := projectGeometry(autoGeometry([]GOPRange{u.Range}), e.opt.EffectiveMaxInFlight())
-	c := sched.Choose(g, e.opt.Workers, e.opt.Cost)
-	e.opt.Mode = modeOfHint(c.Mode)
-	e.opt.Workers = c.Workers
-	e.workers = c.Workers
-	if e.opt.Mode == ModeSequential {
-		e.workers = 1
-	}
-	e.st.Mode = e.opt.Mode
-	e.st.Workers = e.workers
-	e.st.Auto = &AutoDecision{
-		Mode:             e.opt.Mode,
-		Workers:          e.workers,
+	s := e.s
+	g := projectGeometry(autoGeometry([]GOPRange{u.Range}), cap(s.window))
+	c := sched.Choose(g, s.opt.Workers, s.opt.Cost)
+	s.opt.Mode = modeOfHint(c.Mode)
+	s.opt.Workers = c.Workers
+	workers := s.opt.EffectiveWorkers()
+	s.st.Mode = s.opt.Mode
+	s.st.Workers = workers
+	s.st.Auto = &AutoDecision{
+		Mode:             s.opt.Mode,
+		Workers:          workers,
 		Reason:           c.Reason + " (projected from first group)",
-		FinalWorkerLimit: e.workers,
+		FinalWorkerLimit: workers,
 	}
-	if e.workers > 1 {
-		e.tuner = sched.NewTuner(e.workers, e.workers)
-		e.gate = newWorkerGate(e.workers)
+	if workers > 1 {
+		e.tuner = sched.NewTuner(workers, workers)
+		e.gate = newWorkerGate(workers)
 	}
 }
 
 // Feed hands one scanned group of pictures to the workers. It blocks
-// while the scan-ahead window is full (backpressure against the scan
+// while the in-flight window is full (backpressure against the scan
 // process) and returns early with the context's error on cancellation,
 // or with the first worker error once one is latched.
 func (e *StreamExecutor) Feed(u Unit) error {
-	if err := e.errs.get(); err != nil {
+	s := e.s
+	feedStart := time.Now()
+	if err := s.Acquire(e.ctx); err != nil {
 		return err
 	}
-	feedStart := time.Now()
-	select {
-	case e.sem <- struct{}{}:
-	case <-e.ctx.Done():
-		return e.ctx.Err()
-	case <-e.fail:
-		return e.errs.get()
-	}
-	e.opt.Obs.Record(obs.KindFeed, obs.LaneScan, feedStart, time.Since(feedStart), u.G, -1, -1)
-	if !e.started {
-		e.startStream(&u)
+	s.opt.Obs.Record(obs.KindFeed, obs.LaneScan, feedStart, time.Since(feedStart), u.G, -1, -1)
+	if !s.started {
+		// The first group's geometry resolves ModeAuto before the
+		// session arms its plan builder for the chosen grain.
+		if s.opt.Mode == ModeAuto {
+			e.resolveAuto(&u)
+		}
+		s.start(&u.Seq)
+		e.start(cap(s.window))
 	}
 	us := &unitState{exec: e, bytes: int64(len(u.Data))}
 	e.mu.Lock()
@@ -337,10 +287,8 @@ func (e *StreamExecutor) Feed(u Unit) error {
 	}
 	e.mu.Unlock()
 
-	first := len(e.pb.pl.pics)
-	ps, err := e.pb.addGOP(u.Data, u.G, &u.Range)
+	t, err := s.Feed(u)
 	if err != nil {
-		e.setErr(err)
 		return err
 	}
 	if e.tuner != nil {
@@ -349,35 +297,27 @@ func (e *StreamExecutor) Feed(u Unit) error {
 		// goroutine, as Reevaluate requires.
 		if lim, changed := e.tuner.Reevaluate(); changed {
 			e.gate.setLimit(lim)
-			e.st.Auto.FinalWorkerLimit = lim
+			s.st.Auto.FinalWorkerLimit = lim
 		}
-		e.st.Auto.Reevals++
+		s.st.Auto.Reevals++
 	}
-	if len(ps) == 0 {
+	switch {
+	case t == nil:
 		// Empty or policy-dropped group: nothing will decode from the
 		// unit, release it immediately.
 		us.remaining = 1
 		us.retire()
-		return nil
-	}
-	if e.q != nil {
+	case e.q != nil:
+		ps := t.pics[t.first:]
 		us.remaining = int32(len(ps))
 		for _, p := range ps {
 			p.unit = us
 		}
 		e.q.append(ps)
-	} else {
+	default:
 		us.remaining = 1
-		end := first + len(ps)
-		e.gopTasks <- gopTask{
-			pics:  e.pb.pl.pics[:end:end],
-			first: first,
-			n:     len(ps),
-			g:     u.G,
-			off:   u.Base + u.Range.Offset,
-			bytes: us.bytes,
-			unit:  us,
-		}
+		t.unit = us
+		e.gopTasks <- t
 	}
 	return nil
 }
@@ -396,11 +336,7 @@ func (e *StreamExecutor) AdjustBuffered(delta int64) {
 // NoteScanned samples the scan-lead gauge: how far the scan process has
 // run ahead of the display process, in pictures.
 func (e *StreamExecutor) NoteScanned(pictures int) {
-	displayed := 0
-	if e.disp != nil {
-		displayed = e.disp.count()
-	}
-	lead := pictures - displayed
+	lead := pictures - e.s.Displayed()
 	e.mu.Lock()
 	if lead > e.leadPeak {
 		e.leadPeak = lead
@@ -408,65 +344,45 @@ func (e *StreamExecutor) NoteScanned(pictures int) {
 	e.mu.Unlock()
 }
 
-func (e *StreamExecutor) fillGauges() {
-	e.mu.Lock()
-	e.st.PeakInFlightBytes = e.peakBytes
-	e.st.ScanLeadPeak = e.leadPeak
-	e.mu.Unlock()
-}
-
-// Finish closes the intake, joins the workers, and completes the run.
-// scanErr is the scan side's verdict (nil on a clean end of stream, the
-// context's error on cancellation); any error — from either side —
-// switches Finish into teardown: the reorder buffer is abandoned and
-// every planned frame is forcibly reclaimed, so a cancelled pipeline
-// holds no picture memory. Stats are returned in both cases;
-// LeakedFrameBytes reports pool bytes still unaccounted afterwards
-// (always zero — the cancellation tests assert it).
+// Finish closes the intake, joins the workers, and completes the run
+// through Session.Finish. scanErr is the scan side's verdict (nil on a
+// clean end of stream, the context's error on cancellation); any error
+// — from either side — switches Finish into teardown, reclaiming every
+// planned frame. Stats are returned in both cases.
 func (e *StreamExecutor) Finish(scanErr error) (*Stats, error) {
 	// Latch the scan side's verdict so workers drain queued tasks
 	// instead of decoding them after a cancellation.
-	e.setErr(scanErr)
-	if e.started {
-		if e.q != nil {
-			if scanErr != nil {
-				e.q.fail()
-			}
-			e.q.close()
-		} else {
-			close(e.gopTasks)
+	e.s.Abort(scanErr)
+	if e.q != nil {
+		if scanErr != nil {
+			e.q.fail()
 		}
-		e.gate.close() // wake parked workers so they can drain and exit
-		e.wg.Wait()
+		e.q.close()
+	} else if e.gopTasks != nil {
+		close(e.gopTasks)
 	}
+	e.gate.close() // wake parked workers so they can drain and exit
+	e.wg.Wait()
 	if e.tuner != nil {
-		e.st.Auto.FinalWorkerLimit = e.tuner.Limit()
+		e.s.st.Auto.FinalWorkerLimit = e.tuner.Limit()
 	}
-	st := e.st
-	err := e.errs.get()
-	if err == nil {
-		err = scanErr
-	}
-	if e.started {
-		st.Wall = time.Since(e.wallStart)
-		st.Errors.Add(e.pl.pre)
-		st.Pictures = len(e.pl.pics)
-	}
-	defer e.fillGauges()
-	if !e.started {
-		return st, err
-	}
-	return st, settle(e.pl.pics, e.pool, e.disp, st, err)
+	st, err := e.s.Finish(scanErr)
+	e.mu.Lock()
+	st.PeakInFlightBytes = e.peakBytes
+	st.ScanLeadPeak = e.leadPeak
+	e.mu.Unlock()
+	return st, err
 }
 
 // gopWorker is the coarse-grained worker: one task decodes a whole
-// group of pictures (with one worker, in the sequential baseline's
-// order).
+// group of pictures through Session.Run (with one worker, in the
+// sequential baseline's order).
 func (e *StreamExecutor) gopWorker(wi int) {
 	defer e.wg.Done()
-	obs.Do(e.opt.Mode.String(), wi, func() {
-		ws := &e.st.WorkerStats[wi]
-		var scr sliceScratch
+	s := e.s
+	obs.Do(s.opt.Mode.String(), wi, func() {
+		ws := &s.st.WorkerStats[wi]
+		var scr Scratch
 		for {
 			e.gate.enter(wi)
 			t0 := time.Now()
@@ -474,43 +390,23 @@ func (e *StreamExecutor) gopWorker(wi int) {
 			wait := time.Since(t0)
 			ws.Wait += wait
 			e.tuner.NoteWait(wait)
-			e.opt.Obs.Record(obs.KindWait, wi, t0, wait, -1, -1, -1)
+			s.opt.Obs.Record(obs.KindWait, wi, t0, wait, -1, -1, -1)
 			if !ok {
 				return
 			}
-			if e.errs.get() == nil {
-				e.runGOPTask(&t, wi, ws, &scr)
+			if s.Err() == nil {
+				t1 := time.Now()
+				err := s.Run(t, wi, &scr)
+				cost := time.Since(t1)
+				ws.Busy += cost
+				ws.Tasks++
+				if err == nil {
+					e.tuner.NoteTask(cost)
+				}
 			}
 			t.unit.retire()
 		}
 	})
-}
-
-func (e *StreamExecutor) runGOPTask(t *gopTask, wi int, ws *WorkerStats, scr *sliceScratch) {
-	t1 := time.Now()
-	reg := rtrace.StartRegion(context.Background(), "mpeg2par.gopTask")
-	var work decoder.WorkStats
-	var es ErrorStats
-	var sst SplitStats
-	err := t.decode(&e.seq, e.pool, e.disp, wi, e.opt, 0, scr, &work, &es, &sst)
-	reg.End()
-	cost := time.Since(t1)
-	ws.Busy += cost
-	ws.Tasks++
-	e.opt.Obs.Record(obs.KindTask, wi, t1, cost, t.g, -1, -1)
-	if err != nil {
-		e.setErr(err)
-		return
-	}
-	e.tuner.NoteTask(cost)
-	e.opt.Cost.Observe(t.bytes, cost)
-	e.workMu.Lock()
-	e.st.Work.Add(work)
-	e.st.Errors.Add(es)
-	if e.opt.Profile {
-		e.st.GOPCosts[t.g] = TaskCost{Cost: cost, Work: work}
-	}
-	e.workMu.Unlock()
 }
 
 // sliceWorker is the fine-grained worker over the 2-D task queue. On
@@ -519,9 +415,10 @@ func (e *StreamExecutor) runGOPTask(t *gopTask, wi int, ws *WorkerStats, scr *sl
 // bytes.
 func (e *StreamExecutor) sliceWorker(wi int) {
 	defer e.wg.Done()
-	obs.Do(e.opt.Mode.String(), wi, func() {
-		ws := &e.st.WorkerStats[wi]
-		var scr sliceScratch
+	s := e.s
+	obs.Do(s.opt.Mode.String(), wi, func() {
+		ws := &s.st.WorkerStats[wi]
+		var scr Scratch
 		var taskAddrs []int
 		for {
 			e.gate.enter(wi)
@@ -538,7 +435,7 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 			var es ErrorStats
 			var sst SplitStats
 			taskAddrs = taskAddrs[:0]
-			err := runPlanSliceTask(&e.seq, pics, p, ti, wi, e.opt, &scr, &work, &es, &sst, &taskAddrs)
+			err := runPlanSliceTask(&s.seq, pics, p, ti, wi, s.opt, &scr, &work, &es, &sst, &taskAddrs)
 			reg.End()
 			cost := time.Since(t0)
 			ws.Busy += cost
@@ -548,21 +445,21 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 			if _, j, _ := p.taskAt(ti); j != nil {
 				kind = obs.KindSegment
 			}
-			e.opt.Obs.Record(kind, wi, t0, cost, p.gop, p.displayIdx, ti)
+			s.opt.Obs.Record(kind, wi, t0, cost, p.gop, p.displayIdx, ti)
 			if p.fate == fateDecode {
-				e.opt.Cost.Observe(taskBytes(p, ti), cost)
+				s.opt.Cost.Observe(taskBytes(p, ti), cost)
 			}
 			if err != nil { // only possible under FailFast
-				e.setErr(err)
+				s.Abort(err)
 				e.q.fail()
 				return
 			}
 			if e.q.finish(p, taskAddrs) {
 				if p.fate == fateDecode {
 					if miss := e.q.missing(p); len(miss) > 0 {
-						if e.opt.Resilience == FailFast {
+						if s.opt.Resilience == FailFast {
 							total := p.params.MBWidth * p.params.MBHeight
-							e.setErr(fmt.Errorf("core: picture at display %d covered %d of %d macroblocks",
+							s.Abort(fmt.Errorf("core: picture at display %d covered %d of %d macroblocks",
 								p.displayIdx, total-len(miss), total))
 							e.q.fail()
 							return
@@ -574,20 +471,20 @@ func (e *StreamExecutor) sliceWorker(wi int) {
 				e.q.completePic(p)
 				for _, ri := range p.holds {
 					if pics[ri].frame.Release() {
-						e.pool.Put(pics[ri].frame)
+						s.pool.Put(pics[ri].frame)
 					}
 				}
-				e.disp.push(p.frame, p.displayIdx)
+				s.disp.push(p.frame, p.displayIdx)
 				p.unit.retire()
 			}
-			e.workMu.Lock()
-			e.st.Work.Add(work)
-			e.st.Errors.Add(es)
-			e.st.Split.Add(sst)
-			if e.opt.Profile {
-				e.st.SliceProf[p.idx].SliceCosts[ti] = cost
+			s.workMu.Lock()
+			s.st.Work.Add(work)
+			s.st.Errors.Add(es)
+			s.st.Split.Add(sst)
+			if s.opt.Profile {
+				s.st.SliceProf[p.idx].SliceCosts[ti] = cost
 			}
-			e.workMu.Unlock()
+			s.workMu.Unlock()
 		}
 	})
 }

@@ -46,7 +46,7 @@ func TraceDecodeAssign(data []byte, mode Mode, procs int, aff Affinity, tr memtr
 		return err
 	}
 	task := 0
-	var scr sliceScratch
+	var scr Scratch
 	for _, p := range pl.pics {
 		p.frame = frame.New(m.Seq.Width, m.Seq.Height)
 		refs := picRefs(pl.pics, p)

@@ -25,10 +25,12 @@ type task struct {
 // stream's session, repeat. Workers exit only when the server is closed
 // and every stream has unregistered — a closing server still needs them
 // to drain aborted streams' queues (Session.Run returns a latched error
-// without decoding, so the drain is fast).
+// without decoding, so the drain is fast). Each worker keeps one decode
+// scratch across every task of every stream it runs.
 func (s *Server) worker(wi int) {
 	defer s.wg.Done()
 	obs.Do("service", wi, func() {
+		var scr core.Scratch
 		for {
 			s.mu.Lock()
 			tk := s.pickLocked()
@@ -45,7 +47,7 @@ func (s *Server) worker(wi int) {
 			s.grantAssistLocked(tk)
 			s.mu.Unlock()
 
-			err := tk.st.sess.Run(tk.t, wi)
+			err := tk.st.sess.Run(tk.t, wi, &scr)
 			tk.st.complete(tk.t, err)
 		}
 	})

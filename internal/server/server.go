@@ -8,7 +8,7 @@
 //     calibrated cost model) stays under capacity; excess arrivals wait
 //     in a bounded FIFO queue or are rejected outright.
 //
-//   - Per-stream budgets: each stream has a scan-ahead token gate
+//   - Per-stream budgets: each stream has a scan-ahead window
 //     (MaxInFlight), an optional frame deadline, and a priority weight
 //     that the pool's weighted fair dispatch honors.
 //
@@ -39,7 +39,7 @@ var (
 	ErrRejected = errors.New("server: stream rejected by admission control")
 	// ErrWedged means the watchdog found the stream making no progress
 	// for the configured window and failed it rather than let it hold
-	// tokens and queue slots forever.
+	// window and queue slots forever.
 	ErrWedged = errors.New("server: stream made no progress (watchdog)")
 	// ErrServerClosed means the server was shut down.
 	ErrServerClosed = errors.New("server: server closed")

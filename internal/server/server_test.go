@@ -781,3 +781,42 @@ func TestWeightedFairShare(t *testing.T) {
 		t.Fatalf("priority inversion: hi wall %v vs lo wall %v", rhi.ss.Stats.Wall, rlo.ss.Stats.Wall)
 	}
 }
+
+// TestFailedTaskWakesBlockedFeeder: a FailFast stream with a one-group
+// window whose early group fails to decode (one slice excised, so the
+// picture comes up short) must return the decode error promptly — not
+// hang on the window until the watchdog — and leak neither goroutines
+// nor frames.
+func TestFailedTaskWakesBlockedFeeder(t *testing.T) {
+	data := testStream(t, 64, 48, 160, 4)
+	m, err := core.Scan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := m.GOPs[1].Pictures[0].Slices[1]
+	data = append(append([]byte(nil), data[:sl.Offset]...), data[sl.End:]...)
+
+	base := runtime.NumGoroutine()
+	srv := server.NewServer(server.Config{Workers: 2})
+	var ss *server.StreamStats
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ss, err = srv.Decode(context.Background(), bytes.NewReader(data), server.StreamConfig{
+			MaxInFlight: 1, Resilience: core.FailFast,
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream still blocked 10s after its task failed")
+	}
+	if err == nil || errors.Is(err, server.ErrWedged) || errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want the decode error", err)
+	}
+	if ss.Stats == nil || ss.Stats.LeakedFrameBytes != 0 {
+		t.Fatalf("teardown stats %+v", ss.Stats)
+	}
+	srv.Close()
+	waitGoroutines(t, base)
+}

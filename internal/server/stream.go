@@ -71,11 +71,7 @@ type stream struct {
 	pauseExp    int // backoff exponent (doubles each pause episode)
 	pausedCount int
 
-	tokens  chan struct{} // MaxInFlight gate
 	wgTasks sync.WaitGroup
-
-	failOnce sync.Once
-	failCh   chan struct{} // closed at first failure (unblocks the gate)
 
 	lastProgress atomic.Int64 // UnixNano of last feed/complete/display/resume
 
@@ -104,14 +100,12 @@ type feedMark struct {
 
 const maxLatencySamples = 1 << 16
 
-// fail latches the stream's first failure: the session aborts (queued
-// tasks become drains) and the token gate unblocks. Safe anywhere,
-// including under srv.mu.
+// fail latches the stream's first failure in its session (queued tasks
+// become drains, a feeder blocked on the window wakes) and wakes the
+// pool so a paused failed stream still drains. Safe anywhere, including
+// under srv.mu.
 func (st *stream) fail(err error) {
-	st.failOnce.Do(func() {
-		st.sess.Abort(err)
-		close(st.failCh)
-	})
+	st.sess.Abort(err)
 	st.srv.cond.Broadcast()
 }
 
@@ -209,7 +203,7 @@ func (st *stream) accountUndelivered() {
 
 // complete is a pool worker's epilogue for one task: progress and
 // fairness bookkeeping, the admission estimator's bytes-per-picture
-// sample, then the token release that re-opens the stream's gate.
+// sample, then the window release that re-opens the stream's feeder.
 func (st *stream) complete(t *core.SessionTask, err error) {
 	if err != nil {
 		st.fail(err)
@@ -223,7 +217,7 @@ func (st *stream) complete(t *core.SessionTask, err error) {
 	s.notePicBytesLocked(t.Bytes(), t.Pictures())
 	s.mu.Unlock()
 	st.touch()
-	<-st.tokens
+	st.sess.Release()
 	st.wgTasks.Done()
 }
 
@@ -314,7 +308,6 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 		weight:   float64(cfg.Priority + 1),
 		demand:   demand,
 		srv:      s,
-		failCh:   make(chan struct{}),
 		deadline: cfg.Deadline,
 		index:    cfg.Index,
 		feedAt:   make(map[int]feedMark),
@@ -323,15 +316,15 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 	if maxInFlight <= 0 {
 		maxInFlight = 4
 	}
-	st.tokens = make(chan struct{}, maxInFlight)
 
 	sink := cfg.Sink
 	sess, err := core.NewSession(core.Options{
-		Workers:    s.cfg.Workers,
-		Resilience: cfg.Resilience,
-		Obs:        s.obs,
-		Cost:       s.cost,
-		SplitIndex: cfg.Index,
+		Workers:     s.cfg.Workers,
+		MaxInFlight: maxInFlight,
+		Resilience:  cfg.Resilience,
+		Obs:         s.obs,
+		Cost:        s.cost,
+		SplitIndex:  cfg.Index,
 		Sink: func(f *frame.Frame) {
 			st.noteDisplayed(f.DisplayIndex)
 			if sink != nil {
@@ -358,16 +351,12 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 	}
 
 	feed := func(u core.Unit) error {
-		// The token/deadline gate: one token per in-flight planned
-		// group, surrendered when the group's task completes. Blocking
-		// here is the backpressure that bounds the stream's memory and
-		// queue share.
-		select {
-		case st.tokens <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-st.failCh:
-			return st.sess.Err()
+		// The window/pacing gate: one window slot per in-flight planned
+		// group, released when the group's task completes, then the
+		// pacing due time. Blocking here is the backpressure that bounds
+		// the stream's memory and queue share.
+		if err := st.sess.Acquire(ctx); err != nil {
+			return err
 		}
 		if interval > 0 {
 			if d := time.Until(due); d > 0 {
@@ -376,11 +365,11 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 				case <-t.C:
 				case <-ctx.Done():
 					t.Stop()
-					<-st.tokens
+					st.sess.Release()
 					return ctx.Err()
-				case <-st.failCh:
+				case <-st.sess.Failed():
 					t.Stop()
-					<-st.tokens
+					st.sess.Release()
 					return st.sess.Err()
 				}
 			}
@@ -394,13 +383,9 @@ func (s *Server) Decode(ctx context.Context, r io.Reader, cfg StreamConfig) (*St
 		}
 		ladder := st.sess.ShedLevel()
 		t, err := st.sess.FeedShed(u, sp.floor)
-		if err != nil {
-			<-st.tokens
-			return err
-		}
 		if t == nil {
-			<-st.tokens
-			return nil
+			st.sess.Release()
+			return err
 		}
 		if sp.floor > ladder && t.ShedPictures() > 0 {
 			st.dmu.Lock()

@@ -410,3 +410,48 @@ func TestFailFastErrorTeardown(t *testing.T) {
 		waitGoroutines(t, base)
 	}
 }
+
+// excisedSliceStream cuts one slice out of the first picture of the
+// second group: the stream still scans cleanly, but under FailFast that
+// picture's uncovered macroblocks fail its decode task.
+func excisedSliceStream(t *testing.T, data []byte) []byte {
+	t.Helper()
+	sl := mustBatchScan(t, data, false).GOPs[1].Pictures[0].Slices[1]
+	cut := append(append([]byte(nil), data[:sl.Offset]...), data[sl.End:]...)
+	mustBatchScan(t, cut, false)
+	return cut
+}
+
+// TestFailedTaskWakesBlockedFeeder: with a one-group window the scan
+// process spends the decode blocked on the window, and in the slice
+// modes a failed picture never frees its slot. A FailFast error in an
+// early group of a long stream must wake the feeder in every mode: the
+// decode returns that error, not a hang, and leaks neither goroutines
+// nor frames.
+func TestFailedTaskWakesBlockedFeeder(t *testing.T) {
+	data := excisedSliceStream(t, testStream(t, 64, 48, 160, 4))
+	for _, mode := range append(allModes, core.ModeAuto) {
+		base := runtime.NumGoroutine()
+		var st *core.Stats
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			st, err = stream.Decode(context.Background(), bytes.NewReader(data), stream.Options{
+				Options: core.Options{Mode: mode, Workers: 2, MaxInFlight: 1, Resilience: core.FailFast},
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: decode still blocked 10s after its task failed", mode)
+		}
+		if err == nil || errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err %v, want the decode error", mode, err)
+		}
+		if st.LeakedFrameBytes != 0 {
+			t.Fatalf("%v: leaked %d frame bytes", mode, st.LeakedFrameBytes)
+		}
+		waitGoroutines(t, base)
+	}
+}

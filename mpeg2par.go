@@ -111,18 +111,6 @@ type Decoder = decoder.Decoder
 // NewDecoder returns a sequential decoder over data.
 func NewDecoder(data []byte) (*Decoder, error) { return decoder.New(data) }
 
-// DecodeAll decodes the whole stream sequentially.
-//
-// Deprecated: use Decode with WithMode(ModeSequential), WithWorkers(1),
-// and a FrameSink; it adds context cancellation and bounded memory.
-func DecodeAll(data []byte) ([]*Frame, error) {
-	d, err := decoder.New(data)
-	if err != nil {
-		return nil, err
-	}
-	return d.All()
-}
-
 // --- parallel decoding -------------------------------------------------------
 
 // Mode selects the parallelization strategy.
@@ -212,9 +200,6 @@ type FaultReport = faults.Report
 // "gilbert:loss=0.02,burst=4,pkt=188" (see internal/faults).
 func ParseFaultSpec(s string) (FaultSpec, error) { return faults.Parse(s) }
 
-// Options configures a parallel decode.
-type Options = core.Options
-
 // Stats reports a parallel decode run.
 type Stats = core.Stats
 
@@ -224,30 +209,11 @@ type WorkerStats = core.WorkerStats
 // StreamMap is the scan process's structural index of a stream.
 type StreamMap = core.StreamMap
 
-// Scan indexes a stream by startcodes (the scan process's job).
-//
-// Deprecated: use ScanReader, which scans incrementally from any
-// io.Reader (wrap in-memory data with bytes.NewReader) and produces
-// the identical StreamMap.
-func Scan(data []byte) (*StreamMap, error) { return core.Scan(data) }
-
 // ScanReader indexes a stream incrementally from r, reading chunkSize
 // bytes at a time (0 selects the default). For the same bytes the
-// resulting map is identical to Scan's, whatever the chunk size.
+// resulting map is identical whatever the chunk size.
 func ScanReader(r io.Reader, chunkSize int) (*StreamMap, error) {
 	return stream.ScanReader(r, chunkSize, false)
-}
-
-// DecodeParallel runs the parallel decoder over a fully materialized
-// stream: scan first, then decode.
-//
-// Deprecated: use Decode, the streaming context-first API — it produces
-// bit-identical output in every mode and policy, overlaps scanning with
-// decoding, bounds memory by the scan-ahead window, and supports
-// cancellation. DecodeParallel remains for profiling (Options.Profile)
-// and pre-scanned sweeps.
-func DecodeParallel(data []byte, opt Options) (*Stats, error) {
-	return core.Decode(data, opt)
 }
 
 // --- intra-slice split decode ---------------------------------------------------

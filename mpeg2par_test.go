@@ -1,6 +1,8 @@
 package mpeg2par_test
 
 import (
+	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -26,9 +28,19 @@ func testStream(t testing.TB) *mpeg2par.Stream {
 	return stream
 }
 
+// decodeAll is the sequential oracle: every frame of data in display
+// order, from the sequential Decoder.
+func decodeAll(data []byte) ([]*mpeg2par.Frame, error) {
+	d, err := mpeg2par.NewDecoder(data)
+	if err != nil {
+		return nil, err
+	}
+	return d.All()
+}
+
 func TestPublicRoundTrip(t *testing.T) {
 	s := testStream(t)
-	frames, err := mpeg2par.DecodeAll(s.Data)
+	frames, err := decodeAll(s.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +57,16 @@ func TestPublicRoundTrip(t *testing.T) {
 
 func TestPublicParallelMatches(t *testing.T) {
 	s := testStream(t)
-	want, err := mpeg2par.DecodeAll(s.Data)
+	want, err := decodeAll(s.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []mpeg2par.Mode{mpeg2par.ModeGOP, mpeg2par.ModeSliceSimple, mpeg2par.ModeSliceImproved} {
 		var got []*mpeg2par.Frame
-		st, err := mpeg2par.DecodeParallel(s.Data, mpeg2par.Options{
-			Mode: mode, Workers: 3,
-			Sink: func(f *mpeg2par.Frame) { got = append(got, f.Clone()) },
-		})
+		st, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(s.Data),
+			mpeg2par.WithMode(mode), mpeg2par.WithWorkers(3),
+			mpeg2par.WithFrameSink(func(f *mpeg2par.Frame) { got = append(got, f.Clone()) }),
+		)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -71,7 +83,7 @@ func TestPublicParallelMatches(t *testing.T) {
 
 func TestPublicScan(t *testing.T) {
 	s := testStream(t)
-	m, err := mpeg2par.Scan(s.Data)
+	m, err := mpeg2par.ScanReader(bytes.NewReader(s.Data), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +169,7 @@ func TestEncodeFramesCustomSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := mpeg2par.DecodeAll(s.Data)
+	frames, err := decodeAll(s.Data)
 	if err != nil || len(frames) != 4 {
 		t.Fatalf("%d frames, err %v", len(frames), err)
 	}

@@ -134,8 +134,8 @@ func TestWithSpeculativeSplitStreaming(t *testing.T) {
 // the public API.
 func TestErrBadOptionPublic(t *testing.T) {
 	s := tallStream(t)
-	_, err := mpeg2par.DecodeParallel(s.Data, mpeg2par.Options{Mode: mpeg2par.ModeSliceImproved})
+	_, err := mpeg2par.Decode(context.Background(), mpeg2par.FromBytes(s.Data), mpeg2par.WithSplitParts(-1))
 	if !errors.Is(err, mpeg2par.ErrBadOption) {
-		t.Fatalf("zero workers: err %v, want ErrBadOption", err)
+		t.Fatalf("negative split parts: err %v, want ErrBadOption", err)
 	}
 }
